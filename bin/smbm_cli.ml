@@ -53,6 +53,30 @@ let jobs_term =
 
 let jobs_of jobs = if jobs >= 0 then jobs else Smbm_par.Pool.default_jobs ()
 
+(* Traffic parameters are checked at parse time, so a bad value is a usage
+   error on every verb that takes it rather than an uncaught exception deep
+   in generation or, for NaN, a silent run with no arrivals.  A load is
+   normalized to the switch's capacity: beyond [max_load] nearly every
+   packet is dropped, and one slot would cost millions of draws. *)
+let max_load = 1000.0
+
+let checked_conv ~docv base ok ~expected =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok x when ok x -> Ok x
+    | Ok _ | Error _ ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+  in
+  Arg.conv ~docv (parse, Arg.conv_printer base)
+
+let load_conv =
+  checked_conv ~docv:"RHO" Arg.float
+    (fun x -> Float.is_finite x && x >= 0.0 && x <= max_load)
+    ~expected:(Printf.sprintf "a finite load in [0, %g]" max_load)
+
+let sources_conv =
+  checked_conv ~docv:"N" Arg.int (fun n -> n >= 1) ~expected:"at least 1 source"
+
 let common_term =
   let open Term in
   let k =
@@ -65,10 +89,10 @@ let common_term =
     Arg.(value & opt int 1 & info [ "c"; "speedup" ] ~docv:"C" ~doc:"Processing cycles (resp. transmissions) per queue per slot.")
   in
   let load =
-    Arg.(value & opt float 2.0 & info [ "load" ] ~docv:"RHO" ~doc:"Normalized offered load (1.0 saturates the switch on average).")
+    Arg.(value & opt load_conv 2.0 & info [ "load" ] ~docv:"RHO" ~doc:"Normalized offered load (1.0 saturates the switch on average); finite, in [0, 1000].")
   in
   let sources =
-    Arg.(value & opt int 500 & info [ "sources" ] ~docv:"N" ~doc:"Number of interleaved MMPP sources.")
+    Arg.(value & opt sources_conv 500 & info [ "sources" ] ~docv:"N" ~doc:"Number of interleaved MMPP sources (at least 1).")
   in
   let slots =
     Arg.(value & opt int 200_000 & info [ "slots" ] ~docv:"T" ~doc:"Simulation length in time slots.")

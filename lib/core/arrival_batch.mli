@@ -51,7 +51,8 @@ val iteri : t -> f:(int -> dest:int -> value:int -> unit) -> unit
 val reverse_from : t -> from:int -> unit
 (** Reverse the segment [\[from, length)] in place: generators that append
     draws and owe the caller prepend-accumulation order (the historical
-    [Source.step] list convention) fix the segment up with one O(n) pass.
+    convention of sources prepending onto one arrival list, which
+    [Workload.of_sources] keeps) fix the segment up with one O(n) pass.
     @raise Invalid_argument if [from] is outside [\[0, length\]]. *)
 
 val to_list : t -> Arrival.t list

@@ -18,8 +18,7 @@ let create ?name ?recorder config (policy : Hybrid_policy.t) =
   let recording = Option.is_some recorder in
   let on_transmit (p : Hybrid_switch.packet) =
     let latency = Hybrid_switch.now sw - p.arrival in
-    Metrics.record_transmit metrics ~value:p.value
-      ~latency:(float_of_int latency);
+    Metrics.record_transmit metrics ~value:p.value ~latency;
     Port_stats.record ports ~port:p.dest ~value:p.value;
     if recording then record (Smbm_obs.Event.Transmit { dest = p.dest; value = p.value; latency })
   in

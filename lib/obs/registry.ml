@@ -60,6 +60,10 @@ let observe h x =
   H.add h.hist x;
   Rs.add h.stats x
 
+let observe_int h n =
+  H.add_int h.hist n;
+  Rs.add_int h.stats n
+
 let histogram_stats h = h.stats
 let histogram_values h = h.hist
 

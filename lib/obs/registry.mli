@@ -35,6 +35,11 @@ val counter_value : counter -> int
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
 val observe : histogram -> float -> unit
+
+val observe_int : histogram -> int -> unit
+(** [observe_int h n] is [observe h (float_of_int n)], bit for bit, and
+    allocates nothing: the per-packet path for integer samples. *)
+
 val histogram_stats : histogram -> Smbm_prelude.Running_stats.t
 val histogram_values : histogram -> Smbm_prelude.Histogram.t
 

@@ -1,10 +1,14 @@
+(* The float accumulators sit in an all-float record: its fields are
+   stored unboxed, so a sample costs no allocation.  In the mixed record
+   [t] a [mutable sum : float] would box every new value. *)
+type acc = { mutable sum : float; mutable max_seen : float }
+
 type t = {
   max_value : float;
   buckets_per_decade : int;
   counts : int array; (* counts.(0) is the [0, 1) bucket *)
   mutable total : int;
-  mutable sum : float;
-  mutable max_seen : float;
+  acc : acc;
 }
 
 let bucket_count ~max_value ~buckets_per_decade =
@@ -20,11 +24,10 @@ let create ?(max_value = 1e9) ?(buckets_per_decade = 10) () =
     buckets_per_decade;
     counts = Array.make (bucket_count ~max_value ~buckets_per_decade + 1) 0;
     total = 0;
-    sum = 0.0;
-    max_seen = 0.0;
+    acc = { sum = 0.0; max_seen = 0.0 };
   }
 
-let index t x =
+let[@inline] index t x =
   if x < 1.0 then 0
   else
     let i = 1 + int_of_float (log10 x *. float_of_int t.buckets_per_decade) in
@@ -39,17 +42,24 @@ let upper_edge t i =
   if i = 0 then 1.0
   else Float.pow 10.0 (float_of_int i /. float_of_int t.buckets_per_decade)
 
-let add t x =
-  if x < 0.0 then invalid_arg "Histogram.add: negative sample";
+let[@inline] record t x =
   let i = index t x in
   t.counts.(i) <- t.counts.(i) + 1;
   t.total <- t.total + 1;
-  t.sum <- t.sum +. x;
-  if x > t.max_seen then t.max_seen <- x
+  t.acc.sum <- t.acc.sum +. x;
+  if x > t.acc.max_seen then t.acc.max_seen <- x
+
+let add t x =
+  if x < 0.0 then invalid_arg "Histogram.add: negative sample";
+  record t x
+
+let add_int t n =
+  if n < 0 then invalid_arg "Histogram.add_int: negative sample";
+  record t (float_of_int n)
 
 let count t = t.total
-let mean t = if t.total = 0 then 0.0 else t.sum /. float_of_int t.total
-let max_seen t = t.max_seen
+let mean t = if t.total = 0 then 0.0 else t.acc.sum /. float_of_int t.total
+let max_seen t = t.acc.max_seen
 let buckets_per_decade t = t.buckets_per_decade
 
 let buckets t =
@@ -109,19 +119,19 @@ let quantile t q =
   else if t.total = 1 then
     (* The one sample is [max_seen] itself; interpolating inside its bucket
        would report a value strictly below it for any q < 1. *)
-    t.max_seen
+    t.acc.max_seen
   else begin
     let rank = q *. float_of_int t.total in
     let rec scan i seen =
-      if i >= Array.length t.counts then t.max_seen
+      if i >= Array.length t.counts then t.acc.max_seen
       else
         let seen' = seen + t.counts.(i) in
         if float_of_int seen' >= rank && t.counts.(i) > 0 then begin
           (* Interpolate within the bucket. *)
           let inside = rank -. float_of_int seen in
           let frac = inside /. float_of_int t.counts.(i) in
-          let lo = lower_edge t i and hi = Float.min (upper_edge t i) t.max_seen in
-          Float.min (lo +. (frac *. (hi -. lo))) t.max_seen
+          let lo = lower_edge t i and hi = Float.min (upper_edge t i) t.acc.max_seen in
+          Float.min (lo +. (frac *. (hi -. lo))) t.acc.max_seen
         end
         else scan (i + 1) seen'
     in
@@ -137,19 +147,22 @@ let merge a b =
     a with
     counts;
     total = a.total + b.total;
-    sum = a.sum +. b.sum;
-    max_seen = Float.max a.max_seen b.max_seen;
+    acc =
+      {
+        sum = a.acc.sum +. b.acc.sum;
+        max_seen = Float.max a.acc.max_seen b.acc.max_seen;
+      };
   }
 
 let clear t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.total <- 0;
-  t.sum <- 0.0;
-  t.max_seen <- 0.0
+  t.acc.sum <- 0.0;
+  t.acc.max_seen <- 0.0
 
 let pp ppf t =
   if t.total = 0 then Format.fprintf ppf "n=0"
   else
     Format.fprintf ppf "n=%d mean=%.3g p50=%.3g p90=%.3g p99=%.3g max=%.3g"
       t.total (mean t) (quantile t 0.5) (quantile t 0.9) (quantile t 0.99)
-      t.max_seen
+      t.acc.max_seen

@@ -14,6 +14,11 @@ val add : t -> float -> unit
 (** Negative samples raise [Invalid_argument]; samples above the cap are
     clamped into the last bucket. *)
 
+val add_int : t -> int -> unit
+(** [add_int t n] is [add t (float_of_int n)], bit for bit, without boxing
+    a float: integer samples (latencies in slots, occupancies) allocate
+    nothing. *)
+
 val count : t -> int
 
 val quantile : t -> float -> float

@@ -11,6 +11,10 @@ val clear : t -> unit
 
 val add : t -> float -> unit
 
+val add_int : t -> int -> unit
+(** [add_int t n] is [add t (float_of_int n)], bit for bit, without boxing
+    a float: integer samples allocate nothing. *)
+
 val count : t -> int
 
 val mean : t -> float

@@ -39,10 +39,10 @@ val record_drop : t -> unit
 val record_push_out : t -> unit
 (** An admitted packet was evicted in favour of an arrival. *)
 
-val record_transmit : t -> value:int -> latency:float -> unit
+val record_transmit : t -> value:int -> latency:int -> unit
 (** One packet fully processed and sent: counts it, adds [value] to the
     value objective and [latency] (slots since arrival) to the latency
-    histogram. *)
+    histogram.  Allocates nothing. *)
 
 val record_transmissions : t -> count:int -> value:int -> unit
 (** Batch form without latency samples — for references (OPT) that
@@ -58,7 +58,7 @@ val record_flush : t -> int -> unit
 (** [n] packets discarded by a periodic flushout. *)
 
 val record_occupancy : t -> int -> unit
-(** Buffer occupancy sampled once per slot. *)
+(** Buffer occupancy sampled once per slot.  Allocates nothing. *)
 
 (* ----- reads ----- *)
 

@@ -100,8 +100,7 @@ let create_controlled ?name ?observe ?recorder ?flight config
          what keeps the flat backend's hot path allocation-free. *)
       let on_transmit ~dest ~arrival =
         let latency = Proc_switch.now sw - arrival in
-        Metrics.record_transmit metrics ~value:1
-          ~latency:(float_of_int latency);
+        Metrics.record_transmit metrics ~value:1 ~latency;
         Port_stats.record ports ~port:dest ~value:1;
         if recording then
           record (Smbm_obs.Event.Transmit { dest; value = 1; latency });
@@ -117,8 +116,7 @@ let create_controlled ?name ?observe ?recorder ?flight config
          flat backend each is a per-transmit snapshot record). *)
       let on_transmit (p : Packet.Proc.t) =
         let latency = Proc_switch.now sw - p.arrival in
-        Metrics.record_transmit metrics ~value:1
-          ~latency:(float_of_int latency);
+        Metrics.record_transmit metrics ~value:1 ~latency;
         Port_stats.record ports ~port:p.dest ~value:1;
         if recording then
           record (Smbm_obs.Event.Transmit { dest = p.dest; value = 1; latency });

@@ -97,8 +97,7 @@ let create_controlled ?name ?observe ?recorder ?flight config
          what keeps the flat backend's hot path allocation-free. *)
       let on_transmit ~dest ~value ~arrival =
         let latency = Value_switch.now sw - arrival in
-        Metrics.record_transmit metrics ~value
-          ~latency:(float_of_int latency);
+        Metrics.record_transmit metrics ~value ~latency;
         Port_stats.record ports ~port:dest ~value;
         if recording then
           record (Smbm_obs.Event.Transmit { dest; value; latency });
@@ -114,8 +113,7 @@ let create_controlled ?name ?observe ?recorder ?flight config
          flat backend each is a per-transmit snapshot record). *)
       let on_transmit (p : Packet.Value.t) =
         let latency = Value_switch.now sw - p.arrival in
-        Metrics.record_transmit metrics ~value:p.value
-          ~latency:(float_of_int latency);
+        Metrics.record_transmit metrics ~value:p.value ~latency;
         Port_stats.record ports ~port:p.dest ~value:p.value;
         if recording then
           record

@@ -4,7 +4,7 @@
 open Smbm_prelude
 open Smbm_core
 
-type t = Rng.t -> Arrival.t
+type t
 
 val uniform_port : n:int -> t
 (** Destination uniform on [0, n); value 1 (processing model: the port
@@ -19,8 +19,14 @@ val value_equals_port : n:int -> t
     carries exactly one value (Fig. 5 panels 7-9). *)
 
 val fixed_port : dest:int -> ?value:int -> unit -> t
+(** Always [dest] with [value] (default 1); draws nothing.
+    @raise Invalid_argument on a negative [dest] or a [value] below 1. *)
 
 val weighted_port : weights:float array -> ?value_of_port:(int -> int) -> unit -> t
-(** Destination drawn proportionally to [weights]; value given by
-    [value_of_port] (default 1).
+(** Destination drawn proportionally to [weights] ({!Rng.weighted}); value
+    given by [value_of_port] (default 1), which must return at least 1.
     @raise Invalid_argument if weights are empty, negative or all zero. *)
+
+val push : t -> Rng.t -> Arrival_batch.t -> unit
+(** Draw one packet's label from [rng] and append it to the batch.
+    Allocates nothing unless the batch grows. *)

@@ -16,9 +16,11 @@ val create :
   ?start_on:bool ->
   unit ->
   t
-(** Transition probabilities must lie in [0, 1]; [rate_on] must be
-    non-negative.  The initial state is drawn from the stationary
-    distribution unless [start_on] is given. *)
+(** Transition probabilities must lie in [0, 1]; [rate_on] must be finite,
+    non-negative and at most [2^52] (see {!Smbm_prelude.Rng.poisson}).  NaN
+    fails every check.  The initial state is drawn from the stationary
+    distribution unless [start_on] is given.
+    @raise Invalid_argument otherwise. *)
 
 val create_batch :
   rng:Rng.t ->
@@ -31,12 +33,13 @@ val create_batch :
   t
 (** Like {!create} but with an arbitrary per-slot batch-size distribution in
     the on state ([sample], with the declared [mean] used for rate
-    accounting) — e.g. {!Smbm_prelude.Rng.pareto_int} for heavy-tailed
-    bursts. *)
+    accounting, finite and non-negative) — e.g.
+    {!Smbm_prelude.Rng.pareto_int} for heavy-tailed bursts. *)
 
 val step : t -> int
 (** Advance one slot: sample the state transition, then return the number of
-    packets emitted during this slot. *)
+    packets emitted during this slot.  Allocates nothing for a {!create}d
+    source. *)
 
 val is_on : t -> bool
 

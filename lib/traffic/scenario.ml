@@ -94,10 +94,11 @@ let heavy_batch ~alpha ~max_batch ~mean =
       if Rng.bernoulli rng ~p then Rng.pareto_int rng ~alpha ~max:max_batch
       else 0
   end
-  else
+  else begin
+    let top_up = Rng.poisson_of_mean (mean -. raw_mean) in
     fun rng ->
-      Rng.pareto_int rng ~alpha ~max:max_batch
-      + Rng.poisson rng ~lambda:(mean -. raw_mean)
+      Rng.pareto_int rng ~alpha ~max:max_batch + Rng.poisson_draw rng top_up
+  end
 
 let proc_heavy_tail_workload ?(mmpp = default_mmpp) ?(alpha = 1.2)
     ?(max_batch = 1000) ?reference ~config ~load ~seed () =

@@ -1,24 +1,13 @@
 open Smbm_prelude
-open Smbm_core
 
 type t = { mmpp : Mmpp.t; label : Label.t; rng : Rng.t }
 
 let create ~mmpp ~label ~rng = { mmpp; label; rng }
 
+(* The state transition first, then one label draw per emission. *)
 let step t ~into =
-  let count = Mmpp.step t.mmpp in
-  for _ = 1 to count do
-    into := t.label t.rng :: !into
-  done
-
-(* Same RNG consumption order as [step] (state transition, then one label
-   draw per emission), but appending into the batch instead of prepending
-   onto a list; callers that owe list order reverse the batch segment. *)
-let step_into t ~into =
-  let count = Mmpp.step t.mmpp in
-  for _ = 1 to count do
-    let a = t.label t.rng in
-    Arrival_batch.push into ~dest:a.Arrival.dest ~value:a.Arrival.value
+  for _ = 1 to Mmpp.step t.mmpp do
+    Label.push t.label t.rng into
   done
 
 let mean_rate t = Mmpp.mean_rate t.mmpp

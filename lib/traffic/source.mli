@@ -8,12 +8,8 @@ type t
 val create : mmpp:Mmpp.t -> label:Label.t -> rng:Rng.t -> t
 (** [rng] drives the labelling (the MMPP holds its own stream). *)
 
-val step : t -> into:Arrival.t list ref -> unit
-(** Advance one slot, prepending this slot's emissions onto [into]. *)
-
-val step_into : t -> into:Smbm_core.Arrival_batch.t -> unit
-(** Advance one slot, appending this slot's emissions onto [into].  Consumes
-    the RNG streams exactly as {!step} does, so the two are interchangeable
-    mid-run; only the accumulation order differs (append vs prepend). *)
+val step : t -> into:Arrival_batch.t -> unit
+(** Advance one slot, appending this slot's emissions onto [into] in draw
+    order.  Allocates nothing unless the batch grows. *)
 
 val mean_rate : t -> float

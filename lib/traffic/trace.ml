@@ -78,10 +78,21 @@ module Compact = struct
   let of_workload workload ~slots =
     if slots < 0 then invalid_arg "Trace.Compact.of_workload: negative slots";
     (* Build into growable heap arrays, then copy once into the off-heap
-       columns at their exact final size. *)
+       columns at their exact final size.  The arrays start at the
+       workload's expected arrival count when it declares a rate: each
+       multi-megabyte doubling is allocated straight into the major heap
+       and paid for in major-GC work, several times the cost of the
+       copy.  An estimate past 1e9 arrivals could not be allocated; it
+       falls back to doubling. *)
+    let capacity =
+      match Workload.mean_rate workload with
+      | Some rate when rate *. float_of_int slots < 1e9 ->
+        max 64 (int_of_float (rate *. float_of_int slots *. 1.1))
+      | Some _ | None -> max 64 slots
+    in
     let offsets = Array.make (slots + 1) 0 in
-    let dest = ref (Array.make (max 64 slots) 0) in
-    let value = ref (Array.make (max 64 slots) 0) in
+    let dest = ref (Array.make capacity 0) in
+    let value = ref (Array.make capacity 0) in
     let len = ref 0 in
     let batch = Arrival_batch.create () in
     for i = 0 to slots - 1 do
@@ -93,10 +104,12 @@ module Compact = struct
         dest := extend !dest;
         value := extend !value
       end;
-      Arrival_batch.iteri batch ~f:(fun j ~dest:d ~value:v ->
-          !dest.(!len + j) <- d;
-          !value.(!len + j) <- v);
-      len := !len + n;
+      let d = !dest and v = !value and base = !len in
+      for j = 0 to n - 1 do
+        Array.unsafe_set d (base + j) (Arrival_batch.unsafe_dest batch j);
+        Array.unsafe_set v (base + j) (Arrival_batch.unsafe_value batch j)
+      done;
+      len := base + n;
       offsets.(i + 1) <- !len
     done;
     {
@@ -116,15 +129,19 @@ module Compact = struct
 
   (* Replay straight out of the flat columns: the filled batch segment is
      one column-to-array copy, no per-packet allocation.  Slots beyond the
-     end are empty, matching [to_workload]. *)
+     end are empty, matching [to_workload].  The column reads use the
+     Bigarray primitive rather than [Int_col.unsafe_get]: the primitive
+     compiles inline, where the [Int_col] function is a call per read
+     when modules are compiled [-opaque]. *)
   let replay t =
     let n = slots t in
     Workload.of_fun_into (fun b i ->
         if i < n then
           for j = Int_col.get t.offsets i to Int_col.get t.offsets (i + 1) - 1
           do
-            Arrival_batch.push b ~dest:(Int_col.unsafe_get t.dest j)
-              ~value:(Int_col.unsafe_get t.value j)
+            Arrival_batch.push b
+              ~dest:(Bigarray.Array1.unsafe_get t.dest j)
+              ~value:(Bigarray.Array1.unsafe_get t.value j)
           done)
 
   let of_trace (trace : trace) =

@@ -24,7 +24,7 @@ let analyze trace =
   for slot = 0 to slots - 1 do
     let batch = Trace.get trace slot in
     let count = List.length batch in
-    Running_stats.add rate_stats (float_of_int count);
+    Running_stats.add_int rate_stats count;
     arrivals := !arrivals + count;
     if count > !peak then peak := count;
     if count > 0 then incr busy;

@@ -26,6 +26,14 @@ let fill_child t b =
 
 let push_list b arrivals = List.iter (Arrival_batch.push_arrival b) arrivals
 
+(* A top-level loop rather than [List.iter]: the closure over [b] would
+   cost a few words per slot. *)
+let rec step_sources b = function
+  | [] -> ()
+  | s :: rest ->
+    Source.step s ~into:b;
+    step_sources b rest
+
 let of_sources sources =
   let mean = List.fold_left (fun acc s -> acc +. Source.mean_rate s) 0.0 sources in
   let fill b _ =
@@ -34,7 +42,7 @@ let of_sources sources =
        draw order (preserving every RNG stream), then reverse the appended
        segment in place. *)
     let from = Arrival_batch.length b in
-    List.iter (fun s -> Source.step_into s ~into:b) sources;
+    step_sources b sources;
     Arrival_batch.reverse_from b ~from
   in
   make ~mean_rate:mean fill

@@ -210,6 +210,56 @@ let prop_bucket_quantile_equals_direct =
       && rebuilt -. direct <= hi -. lo +. eps
       && if hi <= max_seen then abs_float (rebuilt -. direct) <= eps else true)
 
+(* Integer samples: small counts, latencies and values past the cap. *)
+let gen_int_samples =
+  QCheck2.Gen.(
+    list_size (int_range 0 80)
+      (oneof [ int_range 0 20; int_range 0 100_000; int_range 0 (1 lsl 40) ]))
+
+(* Everything a histogram reports, floats compared by their bits. *)
+let histogram_shape h =
+  let bits = Int64.bits_of_float in
+  ( Histogram.count h,
+    (bits (Histogram.mean h), bits (Histogram.max_seen h)),
+    Histogram.buckets h,
+    List.map (fun q -> bits (Histogram.quantile h q)) [ 0.0; 0.25; 0.5; 0.9; 0.99; 1.0 ] )
+
+let prop_add_int_is_add_float =
+  QCheck2.Test.make ~name:"Histogram.add_int n = add (float_of_int n), bit for bit"
+    ~count:200
+    QCheck2.Gen.(pair gen_int_samples gen_int_samples)
+    (fun (xs, ys) ->
+      let build add l =
+        let h = Histogram.create () in
+        List.iter (add h) l;
+        h
+      in
+      let by_int = build Histogram.add_int and by_float = build (fun h n -> Histogram.add h (float_of_int n)) in
+      let i1 = by_int xs and f1 = by_float xs in
+      let i2 = by_int ys and f2 = by_float ys in
+      let same_merged =
+        histogram_shape (Histogram.merge i1 i2) = histogram_shape (Histogram.merge f1 f2)
+      in
+      let same = histogram_shape i1 = histogram_shape f1 in
+      Histogram.clear i1;
+      Histogram.clear f1;
+      List.iter (Histogram.add_int i1) ys;
+      List.iter (fun n -> Histogram.add f1 (float_of_int n)) ys;
+      same && same_merged && histogram_shape i1 = histogram_shape f1)
+
+let test_add_int_validation () =
+  let h = Histogram.create () in
+  match Histogram.add_int h (-1) with
+  | exception Invalid_argument _ -> Alcotest.(check int) "count" 0 (Histogram.count h)
+  | () -> Alcotest.fail "negative sample accepted"
+
+let test_add_int_allocation_free () =
+  let h = Histogram.create ~max_value:1e7 () in
+  let n = ref 0 in
+  Alloc.check_free "add_int" (fun () ->
+      incr n;
+      Histogram.add_int h (!n land 1023))
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -227,4 +277,8 @@ let suite =
     Alcotest.test_case "bucket export round-trip" `Quick test_bucket_export;
     Qc.to_alcotest prop_median_within_bucket_error;
     Qc.to_alcotest prop_bucket_quantile_equals_direct;
+    Alcotest.test_case "add_int validation" `Quick test_add_int_validation;
+    Alcotest.test_case "add_int allocation-free" `Quick
+      test_add_int_allocation_free;
+    Qc.to_alcotest prop_add_int_is_add_float;
   ]

@@ -76,6 +76,54 @@ let prop_welford_matches_naive =
       abs_float (Running_stats.mean s -. mean) < 1e-6
       && abs_float (Running_stats.variance s -. var) < 1e-5)
 
+(* Everything the accumulator reports, floats compared by their bits. *)
+let stats_shape s =
+  let bits = Int64.bits_of_float in
+  let n = Running_stats.count s in
+  ( n,
+    List.map bits
+      [ Running_stats.mean s; Running_stats.variance s; Running_stats.sum s ],
+    if n = 0 then []
+    else List.map bits [ Running_stats.min s; Running_stats.max s ] )
+
+let prop_add_int_is_add_float =
+  QCheck2.Test.make
+    ~name:"Running_stats.add_int n = add (float_of_int n), bit for bit"
+    ~count:200
+    QCheck2.Gen.(
+      let samples =
+        list_size (int_range 0 60)
+          (oneof [ int_range (-50) 50; int_range 0 1_000_000; int ])
+      in
+      pair samples samples)
+    (fun (xs, ys) ->
+      let build add l =
+        let s = Running_stats.create () in
+        List.iter (add s) l;
+        s
+      in
+      let by_int = build Running_stats.add_int
+      and by_float = build (fun s n -> Running_stats.add s (float_of_int n)) in
+      let i1 = by_int xs and f1 = by_float xs in
+      let i2 = by_int ys and f2 = by_float ys in
+      let same = stats_shape i1 = stats_shape f1 in
+      let same_merged =
+        stats_shape (Running_stats.merge i1 i2)
+        = stats_shape (Running_stats.merge f1 f2)
+      in
+      Running_stats.clear i1;
+      Running_stats.clear f1;
+      List.iter (Running_stats.add_int i1) ys;
+      List.iter (fun n -> Running_stats.add f1 (float_of_int n)) ys;
+      same && same_merged && stats_shape i1 = stats_shape f1)
+
+let test_add_allocation_free () =
+  let s = Running_stats.create () in
+  let n = ref 0 in
+  Alloc.check_free "add_int" (fun () ->
+      incr n;
+      Running_stats.add_int s !n)
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -86,4 +134,6 @@ let suite =
       test_merge_matches_combined;
     Alcotest.test_case "merge with empty" `Quick test_merge_with_empty;
     Qc.to_alcotest prop_welford_matches_naive;
+    Alcotest.test_case "add_int allocation-free" `Quick test_add_allocation_free;
+    Qc.to_alcotest prop_add_int_is_add_float;
   ]

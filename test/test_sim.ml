@@ -330,11 +330,27 @@ let test_sweep_objective () =
   Alcotest.(check bool) "value counts value" true
     (Sweep.objective Sweep.Value_port = `Value)
 
+(* Per-packet and per-slot recording: the latency and occupancy samples
+   are ints all the way into the registry's histograms. *)
+let test_metrics_recording_allocation_free () =
+  let m = Metrics.create () in
+  let n = ref 0 in
+  Alloc.check_free "record_transmit" (fun () ->
+      incr n;
+      Metrics.record_transmit m ~value:3 ~latency:(!n land 255));
+  Alloc.check_free "record_occupancy" (fun () ->
+      incr n;
+      Metrics.record_occupancy m (!n land 63));
+  Alcotest.(check int) "every transmit counted" (Metrics.transmitted m)
+    (Smbm_prelude.Running_stats.count (Metrics.latency_stats m))
+
 let suite =
   [
     Alcotest.test_case "metrics conservation" `Quick test_metrics_conservation;
     Alcotest.test_case "metrics objectives" `Quick
       test_metrics_throughput_objectives;
+    Alcotest.test_case "metrics recording allocation-free" `Quick
+      test_metrics_recording_allocation_free;
     Alcotest.test_case "proc engine greedy run" `Quick
       test_proc_engine_greedy_run;
     Alcotest.test_case "proc engine counts drops" `Quick

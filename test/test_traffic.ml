@@ -53,14 +53,64 @@ let test_mmpp_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative rate accepted"
 
+(* NaN slips through [p < 0 || p > 1], and a NaN, infinite or huge rate
+   used to reach the Poisson draw, which returned 0 or a negative count. *)
+let test_mmpp_rejects_non_finite () =
+  let rng = Rng.create ~seed:4 in
+  let rejects what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  let create ?(p_on_to_off = 0.1) ?(p_off_to_on = 0.1) ?(rate_on = 1.0) () =
+    ignore (Mmpp.create ~rng ~p_on_to_off ~p_off_to_on ~rate_on ())
+  in
+  rejects "NaN p_on_to_off" (create ~p_on_to_off:Float.nan);
+  rejects "NaN p_off_to_on" (create ~p_off_to_on:Float.nan);
+  List.iter
+    (fun rate_on -> rejects (Printf.sprintf "rate_on %g" rate_on) (create ~rate_on))
+    [ Float.nan; Float.infinity; 1e300 ];
+  let batch ?(p_on_to_off = 0.1) ?(mean = 1.0) () =
+    ignore
+      (Mmpp.create_batch ~rng ~p_on_to_off ~p_off_to_on:0.1
+         ~sample:(fun _ -> 1) ~mean ())
+  in
+  rejects "batch NaN p_on_to_off" (batch ~p_on_to_off:Float.nan);
+  rejects "batch NaN mean" (batch ~mean:Float.nan);
+  rejects "batch infinite mean" (batch ~mean:Float.infinity)
+
+(* The precomputed Knuth limit changes nothing: an on-slot draws exactly
+   what [Rng.poisson] draws from the same stream. *)
+let test_mmpp_stream_matches_poisson () =
+  List.iter
+    (fun rate_on ->
+      let m =
+        Mmpp.create ~rng:(Rng.create ~seed:9) ~p_on_to_off:0.3 ~p_off_to_on:0.4
+          ~rate_on ~start_on:true ()
+      in
+      let rng = Rng.create ~seed:9 and on = ref true in
+      for _ = 1 to 2_000 do
+        let p = if !on then 0.3 else 0.4 in
+        if Rng.bernoulli rng ~p then on := not !on;
+        let want = if !on then Rng.poisson rng ~lambda:rate_on else 0 in
+        Alcotest.(check int) (Printf.sprintf "rate %g" rate_on) want (Mmpp.step m)
+      done)
+    [ 0.7; 12.0; 45.0 ]
+
 (* --- Labels --- *)
+
+(* One label drawn through the batch path, read back as an arrival. *)
+let draw label rng =
+  let b = Arrival_batch.create ~capacity:1 () in
+  Label.push label rng b;
+  Arrival.make ~dest:(Arrival_batch.dest b 0) ~value:(Arrival_batch.value b 0) ()
 
 let test_uniform_port_label () =
   let rng = Rng.create ~seed:5 in
   let label = Label.uniform_port ~n:4 in
   let seen = Array.make 4 false in
   for _ = 1 to 500 do
-    let a = label rng in
+    let a = draw label rng in
     Alcotest.(check int) "unit value" 1 a.Arrival.value;
     seen.(a.Arrival.dest) <- true
   done;
@@ -70,7 +120,7 @@ let test_value_equals_port_label () =
   let rng = Rng.create ~seed:6 in
   let label = Label.value_equals_port ~n:5 in
   for _ = 1 to 200 do
-    let a = label rng in
+    let a = draw label rng in
     Alcotest.(check int) "value is port + 1" (a.Arrival.dest + 1)
       a.Arrival.value
   done
@@ -79,23 +129,65 @@ let test_uniform_port_and_value_label () =
   let rng = Rng.create ~seed:7 in
   let label = Label.uniform_port_and_value ~n:3 ~k:6 in
   for _ = 1 to 200 do
-    let a = label rng in
+    let a = draw label rng in
     if a.Arrival.dest < 0 || a.Arrival.dest >= 3 then Alcotest.fail "bad dest";
     if a.Arrival.value < 1 || a.Arrival.value > 6 then Alcotest.fail "bad value"
   done
+
+(* Labels are written straight into the batch; the draws are the ones the
+   former [Rng.t -> Arrival.t] closures made, destination before value. *)
+let test_label_draw_order () =
+  let check name label reference =
+    let a = Rng.create ~seed:12 and b = Rng.create ~seed:12 in
+    let batch = Arrival_batch.create () in
+    for _ = 1 to 500 do
+      Label.push label a batch
+    done;
+    for i = 0 to 499 do
+      let dest, value = reference b in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "%s #%d" name i)
+        (dest, value)
+        (Arrival_batch.dest batch i, Arrival_batch.value batch i)
+    done
+  in
+  check "uniform port" (Label.uniform_port ~n:5) (fun r -> (Rng.int r 5, 1));
+  check "uniform port and value" (Label.uniform_port_and_value ~n:5 ~k:9)
+    (fun r ->
+      let dest = Rng.int r 5 in
+      (dest, Rng.int_in r 1 9));
+  check "value equals port" (Label.value_equals_port ~n:7) (fun r ->
+      let dest = Rng.int r 7 in
+      (dest, dest + 1));
+  check "fixed port" (Label.fixed_port ~dest:3 ~value:4 ()) (fun _ -> (3, 4));
+  check "weighted port"
+    (Label.weighted_port ~weights:[| 1.0; 0.0; 2.0 |]
+       ~value_of_port:(fun i -> 10 + i) ())
+    (fun r ->
+      let dest = Rng.weighted r [| 1.0; 0.0; 2.0 |] ~total:3.0 in
+      (dest, 10 + dest))
+
+let test_label_rejects_bad_values () =
+  (match Label.fixed_port ~dest:0 ~value:0 () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "fixed value 0 accepted");
+  let label = Label.weighted_port ~weights:[| 1.0 |] ~value_of_port:(fun _ -> 0) () in
+  match draw label (Rng.create ~seed:1) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "weighted value 0 accepted"
 
 let test_weighted_port_label () =
   let rng = Rng.create ~seed:8 in
   let label = Label.weighted_port ~weights:[| 0.0; 1.0; 3.0 |] () in
   let counts = Array.make 3 0 in
   for _ = 1 to 8_000 do
-    let a = label rng in
+    let a = draw label rng in
     counts.(a.Arrival.dest) <- counts.(a.Arrival.dest) + 1
   done;
   Alcotest.(check int) "zero-weight port unused" 0 counts.(0);
   let frac = float_of_int counts.(2) /. 8000.0 in
   Alcotest.(check bool) "weights respected" true (abs_float (frac -. 0.75) < 0.03);
-  match Label.weighted_port ~weights:[| 0.0 |] () rng with
+  match Label.weighted_port ~weights:[| 0.0 |] () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "all-zero weights accepted"
 
@@ -270,6 +362,22 @@ let test_scenario_value_port_requires_n_le_k () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "n > k accepted"
 
+(* The paper's 500-source proc point: after warm-up a slot of live
+   generation allocates nothing (the batch only grows when a slot beats
+   every earlier one). *)
+let test_generation_allocation_free () =
+  let config = Proc_config.contiguous ~k:16 ~buffer:64 () in
+  let w = Scenario.proc_workload ~config ~load:2.0 ~seed:9 () in
+  let batch = Arrival_batch.create () in
+  for _ = 1 to 2_000 do
+    Workload.next_into w batch
+  done;
+  let slots = 5_000 in
+  let words = Alloc.words_per_call ~n:slots (fun () -> Workload.next_into w batch) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per slot" words)
+    true (words <= 1.0)
+
 let test_port_values () =
   let config = Value_config.make ~ports:4 ~max_value:4 ~buffer:8 () in
   Alcotest.(check (list int)) "identity assignment" [ 1; 2; 3; 4 ]
@@ -281,6 +389,13 @@ let suite =
     Alcotest.test_case "MMPP always-on rate" `Quick test_mmpp_always_on_rate;
     Alcotest.test_case "MMPP duty cycle" `Quick test_mmpp_duty_cycle;
     Alcotest.test_case "MMPP validation" `Quick test_mmpp_validation;
+    Alcotest.test_case "MMPP rejects non-finite parameters" `Quick
+      test_mmpp_rejects_non_finite;
+    Alcotest.test_case "MMPP stream matches Rng.poisson" `Quick
+      test_mmpp_stream_matches_poisson;
+    Alcotest.test_case "label draw order" `Quick test_label_draw_order;
+    Alcotest.test_case "label rejects bad values" `Quick
+      test_label_rejects_bad_values;
     Alcotest.test_case "uniform port label" `Quick test_uniform_port_label;
     Alcotest.test_case "value-equals-port label" `Quick
       test_value_equals_port_label;
@@ -306,5 +421,7 @@ let suite =
       test_scenario_value_port_labels;
     Alcotest.test_case "value-port scenario validation" `Quick
       test_scenario_value_port_requires_n_le_k;
+    Alcotest.test_case "generation allocation-free" `Quick
+      test_generation_allocation_free;
     Alcotest.test_case "port values" `Quick test_port_values;
   ]
