@@ -1,36 +1,32 @@
 (* Admission hot-path throughput: arrivals/sec per push-out policy with the
    buffer held at capacity — every arrival exercises victim selection — for
-   all three implementations ([`Scan]: the original O(n) rescans;
-   [`Indexed]: incremental O(log n) indexes over the linked queues;
-   [`Flat]: the same indexed selection over the struct-of-arrays backend).
+   three arms:
+
+   - [scan]: the policy's [~impl:`Scan] oracle, the original O(n) rescans,
+     through the per-packet [admit] loop;
+   - [flat]: the production policy (O(log n) incremental indexes over the
+     switch's struct-of-arrays columns) through the same per-packet loop;
+   - [fused]: the production policy's [admit_batch] kernel over
+     1024-arrival batches — the whole-batch path the engines take for
+     untraced runs.
 
      dune exec bench/hotpath.exe -- [--arrivals N] [--repeats R] [--out FILE]
 
-   A fourth arm ([fused]) drives the flat backend through the policy's
-   [admit_batch] kernel over 1024-arrival batches — the whole-batch fused
-   admission path the engines take — under .../fused.  Two ratios describe
-   it: .../fused/speedup (fused over the per-packet flat loop: the marginal
-   value of batch fusion alone) and .../fused/total (fused over the linked
-   indexed path: the whole fused-flat stack — unboxed columns, monomorphic
-   comparators, batch kernel — against the default backend the sweeps ran
-   on before it existed).
-
-   Emits one gauge per (model, policy, n, impl) plus four ratios —
-   indexed/scan under .../speedup, flat/indexed under .../flat/speedup,
-   fused/flat under .../fused/speedup and fused/indexed under .../fused/total
-   (all auto-gated by bench-diff) — as JSONL (Smbm_obs.Registry) to FILE.
-   The committed repo-root BENCH_hotpath.json is this file at the default
+   Emits one gauge per (model, policy, n, arm) plus three ratios —
+   flat/scan under .../speedup, fused/flat under .../fused/speedup (the
+   marginal value of batch fusion alone) and fused/scan under
+   .../fused/total (the whole production stack against the scan oracle) —
+   all auto-gated by bench-diff, as JSONL (Smbm_obs.Registry) to FILE.  The
+   committed repo-root BENCH_hotpath.json is this file at the default
    scale; CI regenerates it at reduced scale and diffs the ratios with
    `smbm_cli bench-diff` (ratios, unlike raw arrivals/sec, transfer
    between machines).
 
-   All implementations see the identical arrival stream (a private LCG,
-   fixed seed) and make bit-identical decisions — the oracle and lockstep
-   suites prove that — so the ratios isolate selection and representation
-   cost.  The admission loop runs through the policy layer, whose decision
-   arithmetic is shared by all arms, so the flat ratios here are diluted
-   end-to-end numbers; bench/e2e.ml's flat family isolates the bare
-   backend cost. *)
+   All arms see the identical arrival stream (a private LCG, fixed seed)
+   and make bit-identical decisions — the oracle and lockstep suites prove
+   that — so the ratios isolate selection cost.  The admission loop runs
+   through the policy layer, whose decision arithmetic is shared by all
+   arms, so these are diluted end-to-end numbers. *)
 
 open Smbm_core
 
@@ -83,7 +79,7 @@ let best_of ~batch =
 let run_proc ~n ~impl mk =
   let config = Proc_config.contiguous ~k:n ~buffer:(4 * n) () in
   let policy = mk impl config in
-  let sw = Proc_switch.create ~backend:policy.Proc_policy.backend config in
+  let sw = Proc_switch.create config in
   let next = lcg 0x5eed in
   let fill () =
     while not (Proc_switch.is_full sw) do
@@ -108,8 +104,8 @@ let run_proc ~n ~impl mk =
         end
       done)
 
-(* Fused arm: the same full-buffer admission load, but offered to the flat
-   backend as whole [Arrival_batch]es through the policy's [admit_batch]
+(* Fused arm: the same full-buffer admission load, but offered as whole
+   [Arrival_batch]es through the policy's [admit_batch]
    kernel — the path the engines take for untraced runs.  Batch assembly
    (LCG draw + column write per arrival) is inside the timed region, so the
    fused/flat ratio is an honest end-to-end comparison against the
@@ -118,11 +114,11 @@ let batch_len = 1024
 
 let run_proc_fused ~n mk =
   let config = Proc_config.contiguous ~k:n ~buffer:(4 * n) () in
-  let policy = mk `Flat config in
+  let policy = mk None config in
   match Proc_policy.admit_batch policy with
   | None -> nan
   | Some kernel ->
-    let sw = Proc_switch.create ~backend:policy.Proc_policy.backend config in
+    let sw = Proc_switch.create config in
     let next = lcg 0x5eed in
     let fill () =
       while not (Proc_switch.is_full sw) do
@@ -154,7 +150,7 @@ let run_proc_fused ~n mk =
 let run_value ~n ~impl mk =
   let config = Value_config.make ~ports:n ~max_value:16 ~buffer:(4 * n) () in
   let policy = mk impl config in
-  let sw = Value_switch.create ~backend:policy.Value_policy.backend config in
+  let sw = Value_switch.create config in
   let next = lcg 0x5eed in
   let fill () =
     while not (Value_switch.is_full sw) do
@@ -181,11 +177,11 @@ let run_value ~n ~impl mk =
 
 let run_value_fused ~n mk =
   let config = Value_config.make ~ports:n ~max_value:16 ~buffer:(4 * n) () in
-  let policy = mk `Flat config in
+  let policy = mk None config in
   match Value_policy.admit_batch policy with
   | None -> nan
   | Some kernel ->
-    let sw = Value_switch.create ~backend:policy.Value_policy.backend config in
+    let sw = Value_switch.create config in
     let next = lcg 0x5eed in
     let fill () =
       while not (Value_switch.is_full sw) do
@@ -214,72 +210,57 @@ let run_value_fused ~n mk =
 
 let proc_policies =
   [
-    ("LQD", fun impl c -> P_lqd.make ~impl c);
-    ("LWD", fun impl c -> P_lwd.make ~impl c);
-    ("BPD", fun impl c -> P_bpd.make ~impl c);
-    ("RSV2", fun impl c -> P_reserved.make ~reserve:2 ~impl c);
+    ("LQD", fun impl c -> P_lqd.make ?impl c);
+    ("LWD", fun impl c -> P_lwd.make ?impl c);
+    ("BPD", fun impl c -> P_bpd.make ?impl c);
+    ("RSV2", fun impl c -> P_reserved.make ~reserve:2 ?impl c);
   ]
 
 let value_policies =
   [
-    ("LQD", fun impl c -> V_lqd.make ~impl c);
-    ("MVD", fun impl c -> V_mvd.make ~impl c);
-    ("MRD", fun impl c -> V_mrd.make ~impl c);
+    ("LQD", fun impl c -> V_lqd.make ?impl c);
+    ("MVD", fun impl c -> V_mvd.make ?impl c);
+    ("MRD", fun impl c -> V_mrd.make ?impl c);
   ]
 
 let () =
   let reg = Smbm_obs.Registry.create () in
-  let record ~model ~name ~n ~rate_scan ~rate_indexed ~rate_flat ~rate_fused =
+  let record ~model ~name ~n ~rate_scan ~rate_flat ~rate_fused =
     let base = Printf.sprintf "hotpath/%s/%s/n%d" model name n in
-    Smbm_obs.Registry.set (Smbm_obs.Registry.gauge reg (base ^ "/scan")) rate_scan;
-    Smbm_obs.Registry.set
-      (Smbm_obs.Registry.gauge reg (base ^ "/indexed"))
-      rate_indexed;
-    Smbm_obs.Registry.set (Smbm_obs.Registry.gauge reg (base ^ "/flat")) rate_flat;
-    Smbm_obs.Registry.set (Smbm_obs.Registry.gauge reg (base ^ "/fused")) rate_fused;
-    Smbm_obs.Registry.set
-      (Smbm_obs.Registry.gauge reg (base ^ "/speedup"))
-      (rate_indexed /. rate_scan);
-    Smbm_obs.Registry.set
-      (Smbm_obs.Registry.gauge reg (base ^ "/flat/speedup"))
-      (rate_flat /. rate_indexed);
-    Smbm_obs.Registry.set
-      (Smbm_obs.Registry.gauge reg (base ^ "/fused/speedup"))
-      (rate_fused /. rate_flat);
-    Smbm_obs.Registry.set
-      (Smbm_obs.Registry.gauge reg (base ^ "/fused/total"))
-      (rate_fused /. rate_indexed);
+    let gauge suffix v =
+      Smbm_obs.Registry.set (Smbm_obs.Registry.gauge reg (base ^ suffix)) v
+    in
+    gauge "/scan" rate_scan;
+    gauge "/flat" rate_flat;
+    gauge "/fused" rate_fused;
+    gauge "/speedup" (rate_flat /. rate_scan);
+    gauge "/fused/speedup" (rate_fused /. rate_flat);
+    gauge "/fused/total" (rate_fused /. rate_scan);
     Printf.printf
-      "%-28s scan %10.0f/s   indexed %10.0f/s (%.2fx)   flat %10.0f/s \
-       (%.2fx)   fused %10.0f/s (%.2fx, total %.2fx)\n\
+      "%-28s scan %10.0f/s   flat %10.0f/s (%.2fx)   fused %10.0f/s (%.2fx, \
+       total %.2fx)\n\
        %!"
-      base rate_scan rate_indexed
-      (rate_indexed /. rate_scan)
-      rate_flat
-      (rate_flat /. rate_indexed)
+      base rate_scan rate_flat
+      (rate_flat /. rate_scan)
       rate_fused
       (rate_fused /. rate_flat)
-      (rate_fused /. rate_indexed)
+      (rate_fused /. rate_scan)
   in
   List.iter
     (fun n ->
       List.iter
         (fun (name, mk) ->
-          let rate_scan = run_proc ~n ~impl:`Scan mk in
-          let rate_indexed = run_proc ~n ~impl:`Indexed mk in
-          let rate_flat = run_proc ~n ~impl:`Flat mk in
+          let rate_scan = run_proc ~n ~impl:(Some `Scan) mk in
+          let rate_flat = run_proc ~n ~impl:None mk in
           let rate_fused = run_proc_fused ~n mk in
-          record ~model:"proc" ~name ~n ~rate_scan ~rate_indexed ~rate_flat
-            ~rate_fused)
+          record ~model:"proc" ~name ~n ~rate_scan ~rate_flat ~rate_fused)
         proc_policies;
       List.iter
         (fun (name, mk) ->
-          let rate_scan = run_value ~n ~impl:`Scan mk in
-          let rate_indexed = run_value ~n ~impl:`Indexed mk in
-          let rate_flat = run_value ~n ~impl:`Flat mk in
+          let rate_scan = run_value ~n ~impl:(Some `Scan) mk in
+          let rate_flat = run_value ~n ~impl:None mk in
           let rate_fused = run_value_fused ~n mk in
-          record ~model:"value" ~name ~n ~rate_scan ~rate_indexed ~rate_flat
-            ~rate_fused)
+          record ~model:"value" ~name ~n ~rate_scan ~rate_flat ~rate_fused)
         value_policies)
     sizes;
   let oc = open_out !out in

@@ -1451,29 +1451,30 @@ let load_bench_metrics path =
    with End_of_file -> close_in ic);
   List.rev !metrics
 
-let parse_floor spec =
+let parse_bound ~flag spec =
   match String.rindex_opt spec '=' with
-  | None -> failwith (Printf.sprintf "--floor %s: expected METRIC=X" spec)
+  | None -> failwith (Printf.sprintf "%s %s: expected METRIC=X" flag spec)
   | Some i -> (
     let name = String.sub spec 0 i in
     let v = String.sub spec (i + 1) (String.length spec - i - 1) in
     match float_of_string_opt v with
     | Some x when name <> "" -> (name, x)
-    | _ -> failwith (Printf.sprintf "--floor %s: expected METRIC=X" spec))
+    | _ -> failwith (Printf.sprintf "%s %s: expected METRIC=X" flag spec))
 
 let run_bench_diff baseline current tolerance cap slack mrd_floor alloc_tolerance
-    floors =
-  let floors = List.map parse_floor floors in
+    floors ceilings =
+  let floors = List.map (parse_bound ~flag:"--floor") floors in
+  let ceilings = List.map (parse_bound ~flag:"--ceiling") ceilings in
   let base = load_bench_metrics baseline
   and cur = load_bench_metrics current in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  (* Raw arrivals/sec are machine-dependent; the indexed/scan speedup
-     ratios transfer between machines, so the regression gate compares
-     those.  Ratios are saturated at [cap] before comparison: beyond it
-     the indexed run's wall time is so short that the exact magnitude is
-     timing noise, while any real regression (an accidental O(n) rescan)
-     collapses the ratio toward 1x and is caught regardless. *)
+  (* Raw arrivals/sec are machine-dependent; the speedup ratios transfer
+     between machines, so the regression gate compares those.  Ratios are
+     saturated at [cap] before comparison: beyond it the faster run's wall
+     time is so short that the exact magnitude is timing noise, while any
+     real regression (an accidental O(n) rescan) collapses the ratio
+     toward 1x and is caught regardless. *)
   let is_ratio n =
     has_suffix ~suffix:"/speedup" n || has_suffix ~suffix:"/total" n
   in
@@ -1542,11 +1543,23 @@ let run_bench_diff baseline current tolerance cap slack mrd_floor alloc_toleranc
       | Some _ -> ()
       | None -> fail "%s missing from %s" name current)
     floors;
+  (* Absolute ceilings: explicit METRIC=X upper bounds on the current run,
+     for metrics where lower is better (minor words per slot). *)
+  List.iter
+    (fun (name, ceiling) ->
+      match List.assoc_opt name cur with
+      | Some c when c > ceiling ->
+        fail "%s = %.2f above the %.2f ceiling" name c ceiling
+      | Some _ -> ()
+      | None -> fail "%s missing from %s" name current)
+    ceilings;
   match !failures with
   | [] ->
     Printf.printf
-      "bench-diff: %d speedup ratios, %d allocation budgets, %d floors ok\n"
+      "bench-diff: %d speedup ratios, %d allocation budgets, %d floors, %d \
+       ceilings ok\n"
       (List.length speedups) (List.length allocs) (List.length floors)
+      (List.length ceilings)
   | fs ->
     List.iter (fun f -> Printf.eprintf "bench-diff: %s\n" f) (List.rev fs);
     exit 1
@@ -1592,8 +1605,9 @@ let bench_diff_cmd =
       value & opt float 2.0
       & info [ "mrd-floor" ] ~docv:"X"
           ~doc:
-            "Minimum indexed/scan speedup for value-model MRD at n=256 \
-             (checked only when the baseline carries that metric).")
+            "Minimum speedup of the production policy over the scan oracle \
+             for value-model MRD at n=256 (checked only when the baseline \
+             carries that metric).")
   in
   let alloc_tolerance =
     Arg.(
@@ -1612,16 +1626,24 @@ let bench_diff_cmd =
             "Absolute floor on a current-run metric (repeatable), e.g. \
              $(b,--floor e2e/pipeline/proc/speedup=2).")
   in
+  let ceilings =
+    Arg.(
+      value & opt_all string []
+      & info [ "ceiling" ] ~docv:"METRIC=X"
+          ~doc:
+            "Absolute ceiling on a current-run metric (repeatable), e.g. \
+             $(b,--ceiling e2e/point/proc/batched/minor_words_per_slot=50).")
+  in
   Cmd.v
     (Cmd.info "bench-diff"
        ~doc:
          "Compare two benchmark JSONL outputs ($(b,bench/hotpath.exe), \
           $(b,bench/e2e.exe)) and fail on speedup-ratio regressions beyond \
-          the tolerance, allocation-budget regressions, or floor violations \
-          (CI gate against the committed BENCH_*.json).")
+          the tolerance, allocation-budget regressions, or floor and \
+          ceiling violations (CI gate against the committed BENCH_*.json).")
     Term.(
       const run_bench_diff $ baseline $ current $ tolerance $ cap $ slack
-      $ mrd_floor $ alloc_tolerance $ floors)
+      $ mrd_floor $ alloc_tolerance $ floors $ ceilings)
 
 (* ----- serve / loadgen ----- *)
 

@@ -45,25 +45,31 @@ let violate st fmt =
       if st.violation_count <= 10 then st.violations <- msg :: st.violations)
     fmt
 
-(* Packets of a queue with their physical latencies (prefix sums of residual
-   work: the number of transmission phases until each one completes). *)
-let with_latencies q =
-  let _, packets =
-    List.fold_left
-      (fun (acc_lat, acc) (p : Packet.Proc.t) ->
-        let lat = acc_lat + p.residual in
-        (lat, (p, lat) :: acc))
-      (0, [])
-      (Work_queue.to_list q)
-  in
-  List.rev packets
+(* Packets of queue [i] with their physical latencies (prefix sums of
+   residual work: the number of transmission phases until each one
+   completes), head-of-line first. *)
+let with_latencies sw i =
+  let acc = ref [] and lat = ref 0 in
+  Proc_switch.iter_port sw i ~f:(fun ~residual ~arrival ~id ->
+      lat := !lat + residual;
+      let p =
+        {
+          Packet.Proc.id;
+          dest = i;
+          work = Proc_switch.port_work sw i;
+          residual;
+          arrival;
+        }
+      in
+      acc := (p, !lat) :: !acc);
+  List.rev !acc
 
-let lwd_queue_packets st i = with_latencies (Proc_switch.queue st.lwd_sw i)
+let lwd_queue_packets st i = with_latencies st.lwd_sw i
 
 let opt_eligible_packets st i =
   List.filter
     (fun ((p : Packet.Proc.t), _) -> not (Hashtbl.mem st.ineligible p.id))
-    (with_latencies (Proc_switch.queue st.opt_sw i))
+    (with_latencies st.opt_sw i)
 
 let lwd_all_packets st =
   let acc = ref [] in
@@ -324,11 +330,11 @@ let run ~config ~opponent ~trace ~slots ?(check_every_event = true) () =
   let transmission_phase () =
     let opt_served = Array.make (Proc_config.n config) false in
     for i = 0 to Proc_config.n config - 1 do
-      if not (Work_queue.is_empty (Proc_switch.queue st.lwd_sw i)) then begin
+      if Proc_switch.queue_length st.lwd_sw i > 0 then begin
         (match serve st.lwd_sw i with
         | Some q -> on_lwd_transmit q
         | None -> ());
-        if not (Work_queue.is_empty (Proc_switch.queue st.opt_sw i)) then begin
+        if Proc_switch.queue_length st.opt_sw i > 0 then begin
           opt_served.(i) <- true;
           match serve st.opt_sw i with
           | Some p -> on_opt_transmit p
@@ -340,7 +346,7 @@ let run ~config ~opponent ~trace ~slots ?(check_every_event = true) () =
     for i = 0 to Proc_config.n config - 1 do
       if
         (not opt_served.(i))
-        && not (Work_queue.is_empty (Proc_switch.queue st.opt_sw i))
+        && Proc_switch.queue_length st.opt_sw i > 0
       then begin
         (match serve st.opt_sw i with
         | Some p -> on_opt_transmit p

@@ -1,34 +1,23 @@
 (** Incremental argmax over queue indices: a tournament tree whose matches
-    are decided by a comparator reading live switch state.
+    compare unboxed int key columns.
 
     The switches maintain one of these per registered victim-selection key
-    (see {!Proc_switch.find_index} / {!Value_switch.find_index}): a queue
-    mutation re-runs the O(log n) matches on that queue's root path, and a
-    policy reads the argmax — or the argmax excluding the destination
-    queue — in O(log n) instead of rescanning all n queues.
+    (see {!Proc_switch.find_index_with} / {!Value_switch.find_index_with}):
+    a queue mutation re-runs the O(log n) matches on that queue's root
+    path, and a policy reads the argmax — or the argmax excluding the
+    destination queue — in O(log n) instead of rescanning all n queues.
 
-    Internal nodes store winner {e indices}, not keys, so the comparator may
-    read mutable per-queue aggregates (lengths, total work, cached minimum
-    values); the contract is only that after any queue's state changes,
-    {!invalidate} is called for it before the next query.
-
-    Two comparator families:
-    - {!create} takes an arbitrary [better] closure — one indirect call per
-      match.
-    - {!create_lex} / {!create_ratio} are the flat backend's monomorphic
-      variants: matches read unboxed int key columns directly (three array
-      loads, no closure), and any {e derived} keys are recomputed once per
-      invalidation by a caller-supplied [refresh] instead of once per
-      comparison.  Key columns are caller-owned and may alias the switch's
-      live per-port aggregate arrays (then [refresh] is [ignore]). *)
+    Internal nodes store winner {e indices}, not keys; the contract is only
+    that after any queue's state changes, {!invalidate} is called for it
+    before the next query.  Matches read the caller-owned key columns
+    directly (three array loads, no closure), and any {e derived} keys are
+    recomputed once per invalidation by a caller-supplied [refresh] instead
+    of once per comparison.  Key columns may alias the switch's live
+    per-port aggregate arrays (then [refresh] is [ignore]).  Every order
+    ends in an index comparison, so it is a strict total order and the
+    tree's winner is the unique maximum. *)
 
 type t
-
-val create : n:int -> better:(int -> int -> bool) -> t
-(** A tree over elements [0 .. n-1].  [better a b] must implement a strict
-    total order (resolve ties by index), so that the tree's winner is the
-    unique maximum.  The tree is built immediately from the current state.
-    @raise Invalid_argument if [n < 1]. *)
 
 val create_lex :
   n:int ->
@@ -64,12 +53,12 @@ val n : t -> int
 
 val invalidate : t -> int -> unit
 (** Re-run the matches on element [j]'s root path after its state changed
-    (for keyed trees, element [j]'s keys are refreshed first).  O(log n),
+    (element [j]'s keys are refreshed first).  O(log n),
     O(1) amortized. *)
 
 val refresh : t -> unit
 (** Re-run every match (after a bulk change such as a flushout), refreshing
-    every key on keyed trees.  O(n). *)
+    every key.  O(n). *)
 
 val top : t -> int
 (** The current overall winner (the unique maximum). *)
@@ -79,7 +68,6 @@ val top_excluding : t -> int -> int
     O(log n), read-only. *)
 
 val check : t -> unit
-(** Verify every stored match outcome against a fresh comparison — and, on
-    keyed trees, that no key column entry is stale — detecting missed
-    invalidations.  Test hook.
+(** Verify every stored match outcome against a fresh comparison, and that
+    no key column entry is stale — detecting missed invalidations.  Test hook.
     @raise Invalid_argument on an inconsistency. *)

@@ -3,7 +3,7 @@
 
    The left-to-right scan with replacement on [key >= best] — which keeps
    the largest index among full ties — is the decision contract.  The
-   indexed path answers the same argmax in O(log n) from the switch's
+   policy answers the same argmax in O(log n) from the switch's
    incremental index; [select_victim_scan] keeps the original O(n) scan as
    the reference oracle the differential tests compare against.  All key
    comparisons are explicit integer comparisons (no tuple allocation on the
@@ -23,26 +23,14 @@ let select_victim_scan sw ~dest =
   done;
   !best
 
-(* On the flat backend the comparator collapses to a keyed lexicographic
-   tree over the switch's own (queue length, port work) aggregate columns —
-   no closure, no refresh (both keys alias live state).  The linked backend
-   keeps the closure comparator; both express the same order. *)
+(* The order as a keyed lexicographic tree over the switch's own (queue
+   length, port work) aggregate columns — no closure, no refresh (both keys
+   alias live state). *)
 let index sw =
-  match Proc_switch.flat_view sw with
-  | Some v ->
-    Proc_switch.find_index_with sw ~key:"lqd" (fun ~n ->
-        Agg_index.create_lex ~n ~k1:v.Proc_switch.view_qlen
-          ~k2:v.Proc_switch.view_works ~refresh:ignore ())
-  | None ->
-    Proc_switch.find_index sw ~key:"lqd" ~better:(fun a b ->
-        let la = Proc_switch.queue_length sw a
-        and lb = Proc_switch.queue_length sw b in
-        la > lb
-        || la = lb
-           &&
-           let wa = Proc_switch.port_work sw a
-           and wb = Proc_switch.port_work sw b in
-           wa > wb || (wa = wb && a > b))
+  let v = Proc_switch.view sw in
+  Proc_switch.find_index_with sw ~key:"lqd" (fun ~n ->
+      Agg_index.create_lex ~n ~k1:v.Proc_switch.view_qlen
+        ~k2:v.Proc_switch.view_works ~refresh:ignore ())
 
 let select_victim_indexed idx sw ~dest =
   let c = Agg_index.top_excluding idx dest in
@@ -61,37 +49,24 @@ let select_victim_indexed idx sw ~dest =
 
 let select_victim sw ~dest = select_victim_indexed (index sw) sw ~dest
 
-let make ?(impl = `Indexed) _config =
-  let backend =
-    match impl with `Flat -> `Flat | `Indexed | `Scan -> `Linked
-  in
-  let cached_index =
-    let cache = ref None in
-    fun sw ->
-      match !cache with
-      | Some (sw', idx) when sw' == sw -> idx
-      | Some _ | None ->
-        let idx = index sw in
-        cache := Some (sw, idx);
-        idx
-  in
+let make ?impl _config =
+  let index = Proc_policy.per_switch index in
   let select =
     match impl with
-    | `Scan -> fun sw ~dest -> select_victim_scan sw ~dest
-    | `Indexed | `Flat ->
-      fun sw ~dest -> select_victim_indexed (cached_index sw) sw ~dest
+    | Some `Scan -> fun sw ~dest -> select_victim_scan sw ~dest
+    | None -> fun sw ~dest -> select_victim_indexed (index sw) sw ~dest
   in
-  (* Fused batch kernel (`Flat impl): admit a whole slot's arrivals in one
-     pass, resolving the victim index once per batch instead of once per
-     packet.  Decision-identical to the per-packet [admit] + engine
-     application below — the lockstep fuzz proves it. *)
+  (* Fused batch kernel: admit a whole slot's arrivals in one pass,
+     resolving the victim index once per batch instead of once per packet.
+     Decision-identical to the per-packet [admit] + engine application
+     below — the lockstep fuzz proves it. *)
   let admit_batch =
     match impl with
-    | `Scan | `Indexed -> None
-    | `Flat ->
+    | Some `Scan -> None
+    | None ->
       Some
         (fun sw batch (c : Admission.counters) ->
-          let idx = cached_index sw in
+          let idx = index sw in
           for i = 0 to Arrival_batch.length batch - 1 do
             let dest = Arrival_batch.unsafe_dest batch i in
             if not (Proc_switch.is_full sw) then begin
@@ -110,7 +85,7 @@ let make ?(impl = `Indexed) _config =
             end
           done)
   in
-  Proc_policy.make ~backend ?admit_batch ~name:"LQD" ~push_out:true
+  Proc_policy.make ?admit_batch ~name:"LQD" ~push_out:true
     (fun sw ~dest ->
       match Proc_policy.greedy_accept sw with
       | Some d -> d

@@ -44,7 +44,8 @@ let select_victim_scan ?(protect_last = false) ?(tie = Largest_work) sw ~dest =
       end
     end
   done;
-  if !best < 0 then None else Some !best
+  (* [dest] is always eligible, so [best] is set. *)
+  !best
 
 let key_name ~protect_last ~tie =
   match (protect_last, tie) with
@@ -55,48 +56,32 @@ let key_name ~protect_last ~tie =
   | false, Longest_queue -> "lwd:long-queue"
   | true, Longest_queue -> "lwd:protect:long-queue"
 
-(* Flat backend: keyed lexicographic tree, ineligibility encoded as
-   (min_int, 0) — an eligible queue's total work is >= 1 > min_int, so the
-   encoding reproduces the closure comparator's order exactly.  Both keys
-   are derived (the tie key depends on [tie]), refreshed per invalidation
-   from the live aggregate columns. *)
+(* Keyed lexicographic tree, ineligibility encoded as (min_int, 0) — an
+   eligible queue's total work is >= 1 > min_int, so the encoding ranks
+   every ineligible queue last, among its peers by the index tie.  Both
+   keys are derived (the tie key depends on [tie]), refreshed per
+   invalidation from the live aggregate columns. *)
 let index ~protect_last ~tie sw =
   let min_len = if protect_last then 2 else 1 in
   let key = key_name ~protect_last ~tie in
-  match Proc_switch.flat_view sw with
-  | Some v ->
-    Proc_switch.find_index_with sw ~key (fun ~n ->
-        let k1 = Array.make n 0 and k2 = Array.make n 0 in
-        Agg_index.create_lex ~n ~k1 ~k2
-          ~refresh:(fun j ->
-            if v.Proc_switch.view_qlen.(j) >= min_len then begin
-              k1.(j) <- v.Proc_switch.view_qwork.(j);
-              k2.(j) <-
-                (match tie with
-                | Largest_work -> v.Proc_switch.view_works.(j)
-                | Smallest_work -> -v.Proc_switch.view_works.(j)
-                | Longest_queue -> v.Proc_switch.view_qlen.(j))
-            end
-            else begin
-              k1.(j) <- min_int;
-              k2.(j) <- 0
-            end)
-          ())
-  | None ->
-    Proc_switch.find_index sw ~key ~better:(fun a b ->
-        let ea = Proc_switch.queue_length sw a >= min_len
-        and eb = Proc_switch.queue_length sw b >= min_len in
-        if ea <> eb then ea
-        else if not ea then a > b
-        else begin
-          let wa = Proc_switch.queue_work sw a
-          and wb = Proc_switch.queue_work sw b in
-          wa > wb
-          || wa = wb
-             &&
-             let ta = tie_key ~tie sw a and tb = tie_key ~tie sw b in
-             ta > tb || (ta = tb && a > b)
-        end)
+  let v = Proc_switch.view sw in
+  Proc_switch.find_index_with sw ~key (fun ~n ->
+      let k1 = Array.make n 0 and k2 = Array.make n 0 in
+      Agg_index.create_lex ~n ~k1 ~k2
+        ~refresh:(fun j ->
+          if v.Proc_switch.view_qlen.(j) >= min_len then begin
+            k1.(j) <- v.Proc_switch.view_qwork.(j);
+            k2.(j) <-
+              (match tie with
+              | Largest_work -> v.Proc_switch.view_works.(j)
+              | Smallest_work -> -v.Proc_switch.view_works.(j)
+              | Longest_queue -> v.Proc_switch.view_qlen.(j))
+          end
+          else begin
+            k1.(j) <- min_int;
+            k2.(j) <- 0
+          end)
+        ())
 
 let select_victim_indexed ~protect_last ~tie idx sw ~dest =
   let min_len = if protect_last then 2 else 1 in
@@ -108,14 +93,14 @@ let select_victim_indexed ~protect_last ~tie idx sw ~dest =
     tie_key ~tie sw dest + if tie = Longest_queue then 1 else 0
   in
   let c = Agg_index.top_excluding idx dest in
-  if c < 0 || Proc_switch.queue_length sw c < min_len then Some dest
+  if c < 0 || Proc_switch.queue_length sw c < min_len then dest
   else begin
     let cw = Proc_switch.queue_work sw c in
-    if cw > dw then Some c
-    else if cw < dw then Some dest
+    if cw > dw then c
+    else if cw < dw then dest
     else begin
       let ct = tie_key ~tie sw c in
-      if ct > dt || (ct = dt && c > dest) then Some c else Some dest
+      if ct > dt || (ct = dt && c > dest) then c else dest
     end
   end
 
@@ -130,35 +115,22 @@ let name ~protect_last ~tie =
   | Smallest_work -> base ^ "/tie=small-work"
   | Longest_queue -> base ^ "/tie=long-queue"
 
-let make ?(protect_last = false) ?(tie = Largest_work) ?(impl = `Indexed)
-    _config =
-  let backend =
-    match impl with `Flat -> `Flat | `Indexed | `Scan -> `Linked
-  in
-  let cached_index =
-    let cache = ref None in
-    fun sw ->
-      match !cache with
-      | Some (sw', idx) when sw' == sw -> idx
-      | Some _ | None ->
-        let idx = index ~protect_last ~tie sw in
-        cache := Some (sw, idx);
-        idx
-  in
+let make ?(protect_last = false) ?(tie = Largest_work) ?impl _config =
+  let index = Proc_policy.per_switch (index ~protect_last ~tie) in
   let select =
     match impl with
-    | `Scan -> fun sw ~dest -> select_victim_scan ~protect_last ~tie sw ~dest
-    | `Indexed | `Flat ->
+    | Some `Scan -> fun sw ~dest -> select_victim_scan ~protect_last ~tie sw ~dest
+    | None ->
       fun sw ~dest ->
-        select_victim_indexed ~protect_last ~tie (cached_index sw) sw ~dest
+        select_victim_indexed ~protect_last ~tie (index sw) sw ~dest
   in
   let admit_batch =
     match impl with
-    | `Scan | `Indexed -> None
-    | `Flat ->
+    | Some `Scan -> None
+    | None ->
       Some
         (fun sw batch (c : Admission.counters) ->
-          let idx = cached_index sw in
+          let idx = index sw in
           for i = 0 to Arrival_batch.length batch - 1 do
             let dest = Arrival_batch.unsafe_dest batch i in
             if not (Proc_switch.is_full sw) then begin
@@ -166,22 +138,21 @@ let make ?(protect_last = false) ?(tie = Largest_work) ?(impl = `Indexed)
               c.Admission.accepted <- c.Admission.accepted + 1
             end
             else begin
-              match select_victim_indexed ~protect_last ~tie idx sw ~dest with
-              | Some victim when victim <> dest ->
+              let victim = select_victim_indexed ~protect_last ~tie idx sw ~dest in
+              if victim <> dest then begin
                 Proc_switch.push_out_unit sw ~victim;
                 Proc_switch.accept_unit sw ~dest;
                 c.Admission.pushed_out <- c.Admission.pushed_out + 1;
                 c.Admission.accepted <- c.Admission.accepted + 1
-              | Some _ | None ->
-                c.Admission.dropped <- c.Admission.dropped + 1
+              end
+              else c.Admission.dropped <- c.Admission.dropped + 1
             end
           done)
   in
-  Proc_policy.make ~backend ?admit_batch ~name:(name ~protect_last ~tie)
+  Proc_policy.make ?admit_batch ~name:(name ~protect_last ~tie)
     ~push_out:true (fun sw ~dest ->
       match Proc_policy.greedy_accept sw with
       | Some d -> d
-      | None -> (
-        match select sw ~dest with
-        | Some victim when victim <> dest -> Decision.Push_out { victim }
-        | Some _ | None -> Decision.Drop))
+      | None ->
+        let victim = select sw ~dest in
+        if victim <> dest then Decision.Push_out { victim } else Decision.Drop)

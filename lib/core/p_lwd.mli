@@ -26,22 +26,22 @@ type tie =
 val make :
   ?protect_last:bool ->
   ?tie:tie ->
-  ?impl:[ `Indexed | `Scan | `Flat ] ->
+  ?impl:[ `Scan ] ->
   Proc_config.t ->
   Proc_policy.t
 (** The policy is named ["LWD"], ["LWD1"] when protecting last packets, and
-    ["LWD/tie=..."] for non-default tie-breaking.  [~impl] picks the victim
-    selection: [`Indexed] (default) answers the argmax in O(log n) from the
-    switch's incremental index; [`Scan] keeps the original O(n) rescans.
-    Both make bit-identical decisions; [`Flat] is [`Indexed] selection plus a request for the switch's flat struct-of-arrays backend (see {!Proc_switch}). *)
+    ["LWD/tie=..."] for non-default tie-breaking.  Victim selection answers
+    the argmax in O(log n) from the switch's incremental index;
+    [~impl:`Scan] instead runs the reference O(n) scan: a
+    decision-identical test oracle, with no fused batch kernel. *)
 
 val select_victim :
-  ?protect_last:bool -> ?tie:tie -> Proc_switch.t -> dest:int -> int option
-(** The queue LWD would evict from; [Some dest] means drop, [None] (possible
-    only when protecting last packets) means no eligible victim.  Exposed
-    for tests. *)
+  ?protect_last:bool -> ?tie:tie -> Proc_switch.t -> dest:int -> int
+(** The queue LWD would evict from; [dest] itself means drop (the
+    destination is always eligible, so there is always an answer).
+    Exposed for tests. *)
 
 val select_victim_scan :
-  ?protect_last:bool -> ?tie:tie -> Proc_switch.t -> dest:int -> int option
+  ?protect_last:bool -> ?tie:tie -> Proc_switch.t -> dest:int -> int
 (** Reference O(n) scan implementation of {!select_victim}; the
     differential oracle compares the two. *)

@@ -47,52 +47,27 @@ let select_reclaim_victim_scan ~reserve sw ~dest =
   done;
   !best
 
-(* Flat backend: both indexes are keyed lexicographic trees over (derived
-   pool overflow, port work), differing only in the index tie — largest for
-   the pool branch, smallest for the reclaim branch (matching the strict-[>]
-   scan).  The work column aliases the live aggregate; the overflow key is
+(* Both indexes are keyed lexicographic trees over (derived pool overflow,
+   port work), differing only in the index tie — largest for the pool
+   branch, smallest for the reclaim branch (matching the strict-[>] scan).
+   The work column aliases the live aggregate; the overflow key is
    refreshed per invalidation. *)
-let keyed_overflow_index sw ~key ~reserve ~tie =
+let overflow_index sw ~key ~reserve ~tie =
+  let v = Proc_switch.view sw in
   Proc_switch.find_index_with sw ~key (fun ~n ->
-      match Proc_switch.flat_view sw with
-      | None -> assert false
-      | Some v ->
-        let k1 = Array.make n 0 in
-        Agg_index.create_lex ~n ~tie ~k1 ~k2:v.Proc_switch.view_works
-          ~refresh:(fun j ->
-            k1.(j) <- max 0 (v.Proc_switch.view_qlen.(j) - reserve))
-          ())
+      let k1 = Array.make n 0 in
+      Agg_index.create_lex ~n ~tie ~k1 ~k2:v.Proc_switch.view_works
+        ~refresh:(fun j ->
+          k1.(j) <- max 0 (v.Proc_switch.view_qlen.(j) - reserve))
+        ())
 
 let pool_index ~reserve sw =
-  let key = Printf.sprintf "rsv:%d" reserve in
-  match Proc_switch.flat_view sw with
-  | Some _ -> keyed_overflow_index sw ~key ~reserve ~tie:`Largest_index
-  | None ->
-    Proc_switch.find_index sw ~key ~better:(fun a b ->
-        let ova = max 0 (Proc_switch.queue_length sw a - reserve)
-        and ovb = max 0 (Proc_switch.queue_length sw b - reserve) in
-        ova > ovb
-        || ova = ovb
-           &&
-           let wa = Proc_switch.port_work sw a
-           and wb = Proc_switch.port_work sw b in
-           wa > wb || (wa = wb && a > b))
+  overflow_index sw ~key:(Printf.sprintf "rsv:%d" reserve) ~reserve
+    ~tie:`Largest_index
 
 let reclaim_index ~reserve sw =
-  let key = Printf.sprintf "rsv-reclaim:%d" reserve in
-  match Proc_switch.flat_view sw with
-  | Some _ -> keyed_overflow_index sw ~key ~reserve ~tie:`Smallest_index
-  | None ->
-    Proc_switch.find_index sw ~key ~better:(fun a b ->
-        let ova = max 0 (Proc_switch.queue_length sw a - reserve)
-        and ovb = max 0 (Proc_switch.queue_length sw b - reserve) in
-        ova > ovb
-        || ova = ovb
-           &&
-           let wa = Proc_switch.port_work sw a
-           and wb = Proc_switch.port_work sw b in
-           (* Strict-[>] scan: full ties keep the smallest index. *)
-           wa > wb || (wa = wb && a < b))
+  overflow_index sw ~key:(Printf.sprintf "rsv-reclaim:%d" reserve) ~reserve
+    ~tie:`Smallest_index
 
 let select_pool_victim_indexed ~reserve idx sw ~dest =
   let c = Agg_index.top_excluding idx dest in
@@ -114,29 +89,20 @@ let select_reclaim_victim_indexed ~reserve idx sw ~dest =
   if c < 0 || max 0 (Proc_switch.queue_length sw c - reserve) = 0 then -1
   else c
 
-let make ~reserve ?(impl = `Indexed) config =
+let make ~reserve ?impl config =
   if reserve < 0 then invalid_arg "P_reserved.make: negative reserve";
   if Proc_config.n config * reserve > config.Proc_config.buffer then
     invalid_arg "P_reserved.make: reservations exceed the buffer";
   let name = Printf.sprintf "RSV(%d)" reserve in
-  let backend =
-    match impl with `Flat -> `Flat | `Indexed | `Scan -> `Linked
-  in
-  let cache = ref None in
-  let indexes sw =
-    match !cache with
-    | Some (sw', pool, reclaim) when sw' == sw -> (pool, reclaim)
-    | Some _ | None ->
-      let pool = pool_index ~reserve sw
-      and reclaim = reclaim_index ~reserve sw in
-      cache := Some (sw, pool, reclaim);
-      (pool, reclaim)
+  let indexes =
+    Proc_policy.per_switch (fun sw ->
+        (pool_index ~reserve sw, reclaim_index ~reserve sw))
   in
   let select_pool, select_reclaim =
     match impl with
-    | `Scan ->
+    | Some `Scan ->
       (select_pool_victim_scan ~reserve, select_reclaim_victim_scan ~reserve)
-    | `Indexed | `Flat ->
+    | None ->
       ( (fun sw ~dest ->
           let pool, _ = indexes sw in
           select_pool_victim_indexed ~reserve pool sw ~dest),
@@ -146,8 +112,8 @@ let make ~reserve ?(impl = `Indexed) config =
   in
   let admit_batch =
     match impl with
-    | `Scan | `Indexed -> None
-    | `Flat ->
+    | Some `Scan -> None
+    | None ->
       Some
         (fun sw batch (c : Admission.counters) ->
           let pool, reclaim = indexes sw in
@@ -182,7 +148,7 @@ let make ~reserve ?(impl = `Indexed) config =
             end
           done)
   in
-  Proc_policy.make ~backend ?admit_batch ~name ~push_out:true (fun sw ~dest ->
+  Proc_policy.make ?admit_batch ~name ~push_out:true (fun sw ~dest ->
       match Proc_policy.greedy_accept sw with
       | Some d -> d
       | None ->

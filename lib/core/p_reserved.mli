@@ -15,11 +15,8 @@
     partition shares (plus reclamation of any transiently stolen
     reservation). *)
 
-val make :
-  reserve:int -> ?impl:[ `Indexed | `Scan | `Flat ] -> Proc_config.t -> Proc_policy.t
-(** [~impl] picks the victim selection: [`Indexed] (default) answers both
-    branches' argmaxes in O(log n) from the switch's incremental indexes;
-    [`Scan] keeps the original O(n) rescans.  Both make bit-identical
-    decisions; [`Flat] is [`Indexed] selection plus a request for the
-    switch's flat struct-of-arrays backend (see {!Proc_switch}).
+val make : reserve:int -> ?impl:[ `Scan ] -> Proc_config.t -> Proc_policy.t
+(** Both branches' argmaxes come off the switch's incremental indexes in
+    O(log n); [~impl:`Scan] instead runs the reference O(n) scans: a
+    decision-identical test oracle, with no fused batch kernel.
     @raise Invalid_argument if [reserve < 0] or [n * reserve > B]. *)

@@ -1,16 +1,24 @@
 type t = {
   name : string;
   push_out : bool;
-  backend : Proc_switch.backend;
   admit : Proc_switch.t -> dest:int -> Decision.t;
   admit_batch :
     (Proc_switch.t -> Arrival_batch.t -> Admission.counters -> unit) option;
 }
 
-let make ?(backend = `Linked) ?admit_batch ~name ~push_out admit =
-  { name; push_out; backend; admit; admit_batch }
+let make ?admit_batch ~name ~push_out admit =
+  { name; push_out; admit; admit_batch }
 
-let with_backend backend t = { t with backend }
+let per_switch f =
+  let cache = ref None in
+  fun sw ->
+    match !cache with
+    | Some (sw', x) when sw' == sw -> x
+    | Some _ | None ->
+      let x = f sw in
+      cache := Some (sw, x);
+      x
+
 let admit t sw ~dest = t.admit sw ~dest
 let admit_batch t = t.admit_batch
 

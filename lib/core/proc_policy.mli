@@ -10,12 +10,6 @@ type t = {
   name : string;
   push_out : bool;
       (** whether the policy ever evicts admitted packets; informational *)
-  backend : Proc_switch.backend;
-      (** which switch representation engines should create for this policy
-          (policies built with [~impl:`Flat] request the flat backend;
-          default [`Linked]).  Purely a creation-time hint — policies read
-          the switch through representation-independent accessors and work
-          on either backend. *)
   admit : Proc_switch.t -> dest:int -> Decision.t;
   admit_batch :
     (Proc_switch.t -> Arrival_batch.t -> Admission.counters -> unit) option;
@@ -23,14 +17,14 @@ type t = {
           a batch in one pass, adding into the counters, with per-batch
           (not per-packet) victim-index resolution.  Must make exactly the
           decisions the per-packet [admit] + engine application would —
-          test/test_victim_oracle.ml fuzzes the two in lockstep.  Only the
-          flat-impl policy variants provide one; engines fall back to the
+          test/test_victim_oracle.ml fuzzes the two in lockstep.  The keyed
+          push-out policies provide one (their [~impl:`Scan] oracles do
+          not); engines fall back to the
           per-packet path when [None] (and whenever per-decision observers —
           recorder, flight recorder — are attached). *)
 }
 
 val make :
-  ?backend:Proc_switch.backend ->
   ?admit_batch:
     (Proc_switch.t -> Arrival_batch.t -> Admission.counters -> unit) ->
   name:string ->
@@ -38,8 +32,11 @@ val make :
   (Proc_switch.t -> dest:int -> Decision.t) ->
   t
 
-val with_backend : Proc_switch.backend -> t -> t
-(** Same policy, different creation-time backend hint. *)
+val per_switch : (Proc_switch.t -> 'a) -> Proc_switch.t -> 'a
+(** [per_switch f] memoizes [f] on the last switch it was applied to
+    (physical equality): how a policy keeps the victim index it
+    registered on the engine's switch without a lookup per arrival.  A
+    hit allocates nothing. *)
 
 val admit : t -> Proc_switch.t -> dest:int -> Decision.t
 

@@ -6,38 +6,27 @@
     operations validate their preconditions and raise [Invalid_argument] on
     misuse, so an engine bug cannot silently corrupt an experiment.
 
-    Two interchangeable state representations sit behind one [t]:
-    - [`Linked] (default): one {!Work_queue} of boxed {!Packet.Proc}
-      records per port — the reference implementation, with [queue]/
-      [iter_queues] access for tests and analyses.
-    - [`Flat]: struct-of-arrays slab of unboxed int columns (residual work,
-      arrival, id) with a free-list and one int ring of slot ids per port.
-      Together with the [_unit]/[_fields] entry points below, a warmed flat
-      switch runs the whole accept/push-out/transmit cycle without
-      allocating.  Decision-relevant state (queue lengths, work aggregates,
-      ids, FIFO order, tie conventions) is maintained bit-identically to
-      the linked representation — test/test_victim_oracle.ml fuzzes the two
-      in lockstep. *)
+    The state is a struct-of-arrays slab of unboxed int columns (residual
+    work, arrival, id) with a free-list and one int ring of slot ids per
+    port.  Through the [_unit]/[_fields] entry points below, a warmed
+    switch runs the whole accept/push-out/transmit cycle without
+    allocating; the packet-returning entry points build snapshot records
+    for tests and analyses. *)
 
 type t
 
-type backend = [ `Linked | `Flat ]
-
-type flat_view = {
+type view = {
   view_works : int array;  (** per-port required work (configuration copy) *)
   view_qlen : int array;  (** live per-port packet counts *)
   view_qwork : int array;  (** live per-port total residual work *)
 }
-(** Read-only aliases of the flat backend's per-port aggregate columns.
+(** Read-only aliases of the switch's per-port aggregate columns.
     Policies hand these to {!Agg_index.create_lex} as key columns, so their
     victim indexes compare unboxed ints instead of calling a closure that
     re-reads switch accessors.  The arrays are the switch's own live state:
     never write through them. *)
 
-val create : ?backend:backend -> Proc_config.t -> t
-(** [backend] defaults to [`Linked]. *)
-
-val backend : t -> backend
+val create : Proc_config.t -> t
 
 val config : t -> Proc_config.t
 (** The creation-time configuration.  Its [buffer] field is the {e initial}
@@ -53,8 +42,8 @@ val set_buffer : t -> int -> unit
     [free_space], [accept]) immediately honours the new bound; buffered
     packets are never dropped, which is why shrinking below the current
     occupancy is refused — the buffer drains down to the new bound through
-    normal transmissions.  On the flat backend a grow extends the slot slab
-    (existing slot ids stay valid); the slab never shrinks.
+    normal transmissions.  A grow extends the slot slab (existing slot ids
+    stay valid); the slab never shrinks.
     @raise Invalid_argument if the new bound is [< 1] or smaller than the
     current occupancy. *)
 
@@ -67,13 +56,6 @@ val occupancy : t -> int
 val free_space : t -> int
 val is_full : t -> bool
 
-val queue : t -> int -> Work_queue.t
-(** Direct (read-mostly) access to queue [i]; tests and analyses use it to
-    inspect queue contents.
-    @raise Invalid_argument on the flat backend, which has no per-queue
-    structure to expose — use {!queue_length}/{!queue_work}, which dispatch
-    on the representation. *)
-
 val queue_length : t -> int -> int
 val queue_work : t -> int -> int
 (** Total residual work [W_i] of queue [i]. *)
@@ -84,35 +66,34 @@ val port_work : t -> int -> int
 val total_occupied_work : t -> int
 (** Sum of [W_i] over all queues.  Maintained incrementally: O(1). *)
 
-val find_index : t -> key:string -> better:(int -> int -> bool) -> Agg_index.t
-(** The victim-selection index registered under [key], creating (and
-    building) it on first use.  [better] must be a strict total order over
-    port indices reading this switch's live state (see {!Agg_index}); it is
-    only consulted at creation time when [key] is already registered.  The
-    switch re-validates every registered index on each mutation, so
-    registrations should be few (one per policy variant driving this
-    switch). *)
+val iter_port :
+  t -> int -> f:(residual:int -> arrival:int -> id:int -> unit) -> unit
+(** The packets queued at port [i], head-of-line first: residual work,
+    arrival slot and packet id of each.  The read API of tests and
+    analyses (e.g. {!Smbm_analysis.Mapping_certifier}) that need queue
+    contents, not just the aggregates.
+    @raise Invalid_argument on a bad port. *)
 
 val find_index_with :
   t -> key:string -> (n:int -> Agg_index.t) -> Agg_index.t
-(** {!find_index} generalized over the index constructor: [make ~n] runs
-    only when [key] is not yet registered.  Policies use it to register
-    monomorphic keyed indexes ({!Agg_index.create_lex}) over a
-    {!flat_view}'s columns. *)
+(** The victim-selection index registered under [key], creating (and
+    building) it with [make ~n] on first use.  Policies register
+    monomorphic keyed indexes ({!Agg_index.create_lex}) over the
+    {!view}'s columns.  The switch re-validates every registered index on
+    each mutation, so registrations should be few (one per policy variant
+    driving this switch). *)
 
-val flat_view : t -> flat_view option
-(** [Some] of the live aggregate columns on the flat backend, [None] on
-    the linked one. *)
+val view : t -> view
+(** The live aggregate columns. *)
 
 val accept : t -> dest:int -> Packet.Proc.t
 (** Admit a fresh packet to [dest]'s queue; assigns the next packet id.
-    On the flat backend the returned record is a snapshot of the admitted
-    slot (allocated per call — engines use {!accept_unit}).
+    The returned record is a snapshot of the admitted slot (allocated per
+    call — engines use {!accept_unit}).
     @raise Invalid_argument if the buffer is full. *)
 
 val accept_unit : t -> dest:int -> unit
-(** {!accept} without materializing the packet — allocation-free on the
-    flat backend. *)
+(** {!accept} without materializing the packet — allocation-free. *)
 
 val push_out : t -> victim:int -> Packet.Proc.t
 (** Evict the tail packet of queue [victim] (freeing one slot).
@@ -129,7 +110,7 @@ val transmit_phase : t -> on_transmit:(Packet.Proc.t -> unit) -> int
 val transmit_phase_fields :
   t -> on_transmit:(dest:int -> arrival:int -> unit) -> int
 (** {!transmit_phase} delivering each transmission as plain fields instead
-    of a packet record — allocation-free on the flat backend.  Same
+    of a packet record — allocation-free.  Same
     ordering, accounting and exception contract as {!transmit_phase}. *)
 
 val serve_port : t -> int -> on_transmit:(Packet.Proc.t -> unit) -> int
@@ -149,11 +130,8 @@ val flush : t -> int
     contents — state corruption that must not be ignored (a real check, not
     an [assert] stripped under [-noassert]). *)
 
-val iter_queues : (int -> Work_queue.t -> unit) -> t -> unit
-(** @raise Invalid_argument on the flat backend (see {!queue}). *)
-
 val check_invariants : t -> unit
 (** Assert internal consistency (occupancy = sum of queue lengths <= B;
-    cached work totals match queue contents; on the flat backend, also
-    slab/free-list disjointness and per-slot residual bounds).  Test
+    cached work totals match queue contents; slab/free-list disjointness
+    and per-slot residual bounds; every registered index is fresh).  Test
     hook. *)

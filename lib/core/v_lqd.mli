@@ -9,10 +9,10 @@
 
     Theorem 9: at least (cube root of k)-competitive. *)
 
-val make : ?impl:[ `Indexed | `Scan | `Flat ] -> Value_config.t -> Value_policy.t
-(** [~impl] picks the victim selection: [`Indexed] (default) answers the
-    argmax in O(log n) from the switch's incremental index; [`Scan] keeps
-    the original O(n) rescans.  Both make bit-identical decisions; [`Flat] is [`Indexed] selection plus a request for the switch's flat struct-of-arrays backend (see {!Value_switch}). *)
+val make : ?impl:[ `Scan ] -> Value_config.t -> Value_policy.t
+(** Victim selection answers the argmax in O(log n) from the switch's
+    incremental index; [~impl:`Scan] instead runs the reference O(n) scan:
+    a decision-identical test oracle, with no fused batch kernel. *)
 
 val select_victim : Value_switch.t -> dest:int -> int
 (** Exposed for tests. *)

@@ -16,17 +16,15 @@
     constant ratio in general is the paper's open conjecture. *)
 
 val make :
-  ?protect_last:bool -> ?impl:[ `Indexed | `Scan | `Flat ] -> Value_config.t ->
-  Value_policy.t
-(** [~protect_last:true] is the MRD_1 ablation that never pushes out a
-    queue's only packet (analogous to the paper's BPD_1 and MVD_1).
-    [~impl] picks the victim selection: [`Indexed] (default) reads the
-    ratio argmax off the switch's incremental index in O(log n); [`Scan]
-    keeps the original O(n) rescans.  Both make bit-identical decisions; [`Flat] is [`Indexed] selection plus a request for the switch's flat struct-of-arrays backend (see {!Value_switch}). *)
+  ?protect_last:bool -> ?impl:[ `Scan ] -> Value_config.t -> Value_policy.t
+(** Victim selection reads the argmax off the switch's incremental ratio
+    index in O(log n); [~impl:`Scan] instead runs the reference O(n) scan:
+    a decision-identical test oracle, with no fused batch kernel. *)
 
-val select_victim : ?protect_last:bool -> Value_switch.t -> int option
-(** The ratio-maximal eligible queue; exposed for tests. *)
+val select_victim : ?protect_last:bool -> Value_switch.t -> int
+(** The eligible queue with the largest [|Q| / avg] ratio; [-1] when none
+    is eligible.  Exposed for tests. *)
 
-val select_victim_scan : ?protect_last:bool -> Value_switch.t -> int option
+val select_victim_scan : ?protect_last:bool -> Value_switch.t -> int
 (** Reference O(n) scan implementation of {!select_victim}; the
     differential oracle compares the two. *)

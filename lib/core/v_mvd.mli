@@ -12,17 +12,16 @@
     pushes out the last packet of a queue. *)
 
 val make :
-  ?protect_last:bool -> ?impl:[ `Indexed | `Scan | `Flat ] -> Value_config.t ->
-  Value_policy.t
-(** [~impl] picks the victim selection: [`Indexed] (default) reads the
-    argmin off the switch's incremental index in O(log n); [`Scan] keeps
-    the original O(n) rescans.  Both make bit-identical decisions; [`Flat] is [`Indexed] selection plus a request for the switch's flat struct-of-arrays backend (see {!Value_switch}). *)
+  ?protect_last:bool -> ?impl:[ `Scan ] -> Value_config.t -> Value_policy.t
+(** Victim selection reads the argmin off the switch's incremental index in
+    O(log n); [~impl:`Scan] instead runs the reference O(n) scan: a
+    decision-identical test oracle, with no fused batch kernel. *)
 
-val select_victim : protect_last:bool -> Value_switch.t -> (int * int) option
-(** [(port, min value there)] of the eviction candidate; exposed for
-    tests. *)
+val select_victim : protect_last:bool -> Value_switch.t -> int
+(** The port holding the eviction candidate (its minimum value is
+    {!Value_switch.queue_min_value_or} there); [-1] when no queue is
+    eligible.  Exposed for tests. *)
 
-val select_victim_scan :
-  protect_last:bool -> Value_switch.t -> (int * int) option
+val select_victim_scan : protect_last:bool -> Value_switch.t -> int
 (** Reference O(n) scan implementation of {!select_victim}; the
     differential oracle compares the two. *)

@@ -6,21 +6,14 @@
 type t = {
   name : string;
   push_out : bool;
-  backend : Value_switch.backend;
-      (** which switch representation engines should create for this policy
-          (policies built with [~impl:`Flat] request the flat backend;
-          default [`Linked]).  Purely a creation-time hint — policies read
-          the switch through representation-independent accessors and work
-          on either backend. *)
   admit : Value_switch.t -> dest:int -> value:int -> Decision.t;
   admit_batch :
     (Value_switch.t -> Arrival_batch.t -> Admission.counters -> unit) option;
       (** Fused batch-admission kernel; see {!Proc_policy.admit_batch} for
-          the contract.  Only the flat-impl policy variants provide one. *)
+          the contract. *)
 }
 
 val make :
-  ?backend:Value_switch.backend ->
   ?admit_batch:
     (Value_switch.t -> Arrival_batch.t -> Admission.counters -> unit) ->
   name:string ->
@@ -28,8 +21,11 @@ val make :
   (Value_switch.t -> dest:int -> value:int -> Decision.t) ->
   t
 
-val with_backend : Value_switch.backend -> t -> t
-(** Same policy, different creation-time backend hint. *)
+val per_switch : (Value_switch.t -> 'a) -> Value_switch.t -> 'a
+(** [per_switch f] memoizes [f] on the last switch it was applied to
+    (physical equality): how a policy keeps the victim index it
+    registered on the engine's switch without a lookup per arrival.  A
+    hit allocates nothing. *)
 
 val admit : t -> Value_switch.t -> dest:int -> value:int -> Decision.t
 

@@ -26,14 +26,11 @@ val add : t -> int -> unit
 val remove : t -> int -> unit
 (** Remove one occurrence. @raise Invalid_argument if the key is absent. *)
 
-val min_key : t -> int option
-val max_key : t -> int option
-
-val remove_min : t -> int option
-(** Remove and return one occurrence of the smallest key. *)
-
-val remove_max : t -> int option
-(** Remove and return one occurrence of the largest key. *)
+val min_key_or : t -> default:int -> int
+val max_key_or : t -> default:int -> int
+(** Smallest / largest key present; [default] when empty.  Allocation-free:
+    the OPT reference reads one of these on every arrival to a full
+    buffer. *)
 
 val sum : t -> int
 (** Sum of all elements (keys weighted by multiplicity). *)

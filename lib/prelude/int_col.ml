@@ -1,25 +1,23 @@
 (* Off-heap int column: a Bigarray.Array1 of native ints, C layout.
 
-   The flat switch backends and Trace.Compact keep their slab columns in
-   these instead of [int array] for two reasons.  First, the payload lives
-   outside the OCaml heap, so the GC never scans it — a multi-million-slot
-   trace costs the collector nothing.  Second, Bigarray proxies are
-   reference-counted views over one shared allocation: [sub] hands out a
-   zero-copy window, which is how parallel sweeps give every domain a slice
-   of one shared trace slab instead of a private copy.  Sharing read-only
-   columns across domains is safe — immutable-after-build data needs no
-   synchronization, and there are no GC headers to race on.
-
-   The [unsafe_*] accessors sit on the per-packet hot paths of the flat
-   switches; indices there are in bounds by the slab invariants the
-   switches' [check_invariants] prove. *)
+   Trace.Compact keeps its columns in these instead of [int array] for two
+   reasons.  First, the payload lives outside the OCaml heap, so the GC
+   never scans it — a multi-million-slot trace costs the collector nothing.
+   Second, Bigarray proxies are reference-counted views over one shared
+   allocation: [sub] hands out a zero-copy window, which is how parallel
+   sweeps give every domain a slice of one shared trace slab instead of a
+   private copy.  Sharing read-only columns across domains is safe —
+   immutable-after-build data needs no synchronization, and there are no
+   GC headers to race on.  (The switches' slabs are private to one engine
+   and short-lived, so they are plain [int array]s: a Bigarray costs a
+   custom-block allocation per column at creation.) *)
 
 type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-let create ?(fill = 0) len =
+let create len =
   if len < 0 then invalid_arg "Int_col.create: negative length";
   let c = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len in
-  Bigarray.Array1.fill c fill;
+  Bigarray.Array1.fill c 0;
   c
 
 let init len f =
@@ -32,12 +30,7 @@ let init len f =
 
 let length (t : t) = Bigarray.Array1.dim t
 let get (t : t) i = Bigarray.Array1.get t i
-let set (t : t) i x = Bigarray.Array1.set t i x
-
 let unsafe_get (t : t) i = Bigarray.Array1.unsafe_get t i [@@inline]
-let unsafe_set (t : t) i x = Bigarray.Array1.unsafe_set t i x [@@inline]
-
-let fill (t : t) x = Bigarray.Array1.fill t x
 
 let blit ~src ~src_pos ~dst ~dst_pos ~len =
   if len < 0 then invalid_arg "Int_col.blit: negative length";
@@ -45,14 +38,6 @@ let blit ~src ~src_pos ~dst ~dst_pos ~len =
     Bigarray.Array1.blit
       (Bigarray.Array1.sub src src_pos len)
       (Bigarray.Array1.sub dst dst_pos len)
-
-(* A fresh column of [len] slots carrying the old contents; the tail is
-   [fill]ed.  The slabs only ever grow, so there is no shrink path. *)
-let grow (t : t) ~len ~fill:x =
-  if len < length t then invalid_arg "Int_col.grow: shrinking";
-  let c = create ~fill:x len in
-  blit ~src:t ~src_pos:0 ~dst:c ~dst_pos:0 ~len:(length t);
-  c
 
 let sub (t : t) ~pos ~len : t = Bigarray.Array1.sub t pos len
 

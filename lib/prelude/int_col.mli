@@ -1,35 +1,25 @@
 (** Off-heap int column: a [Bigarray.Array1] of native ints, C layout.
 
-    Backs the flat switch slabs and {e compact trace} payloads: the data
-    lives outside the OCaml heap (never scanned by the GC) and [sub] hands
-    out zero-copy windows over one shared allocation, so read-only columns
-    can be shared across domains without copying.  The [unsafe_*] accessors
-    skip the bounds check — callers keep indices in range by their own
-    invariants (the flat switches prove theirs in [check_invariants]). *)
+    Backs {e compact trace} payloads: the data lives outside the OCaml
+    heap (never scanned by the GC) and [sub] hands out zero-copy windows
+    over one shared allocation, so read-only columns can be shared across
+    domains without copying.  [unsafe_get] skips the bounds check — callers
+    keep indices in range by their own invariants. *)
 
 type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-val create : ?fill:int -> int -> t
-(** [create ?fill len]: a column of [len] slots, all [fill] (default 0).
+val create : int -> t
+(** [create len]: a column of [len] zeroed slots.
     @raise Invalid_argument on a negative length. *)
 
 val init : int -> (int -> int) -> t
 val length : t -> int
 
 val get : t -> int -> int
-val set : t -> int -> int -> unit
-
 val unsafe_get : t -> int -> int
-val unsafe_set : t -> int -> int -> unit
-
-val fill : t -> int -> unit
 
 val blit :
   src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
-
-val grow : t -> len:int -> fill:int -> t
-(** A fresh column of [len] slots carrying the old contents, tail [fill]ed.
-    @raise Invalid_argument if [len] is smaller than the current length. *)
 
 val sub : t -> pos:int -> len:int -> t
 (** Zero-copy window sharing the backing storage. *)

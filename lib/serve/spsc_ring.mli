@@ -19,8 +19,11 @@
     {2 Backpressure}
 
     When the ring is full, {!produce} applies the chosen policy:
-    - [`Block]: spin (with [Domain.cpu_relax], degrading to short sleeps)
-      until the consumer frees a slot — ingest is paced by the engine;
+    - [`Block]: park on a condition variable until the consumer has
+      drained the ring to half its capacity (or aborts) — ingest is paced
+      by the engine, and a parked producer costs no CPU.  Waking at half
+      capacity rather than at the first free slot hands the producer a
+      burst of slots per wake-up;
     - [`Shed]: generate the slot into a private scratch batch and discard
       it, accounting the shed slot and its packets — the engine never sees
       the traffic, but the loss is measured, not silent.  The workload's
@@ -57,8 +60,8 @@ val produce :
     runs on the producer domain; it must not touch the ring.
 
     [on_block] is called (on the producer domain) with the seconds the
-    call spent waiting for space, only when it actually waited — i.e. only
-    under [`Block] with a full ring; shed mode never blocks and reports
+    call spent parked, only when it actually parked — i.e. only under
+    [`Block] with a full ring; shed mode never blocks and reports
     nothing.  The stall clock is read only when [on_block] is supplied, so
     the default path stays free of [gettimeofday] calls. *)
 
@@ -80,7 +83,7 @@ val consume :
     control plane can interrupt an idle consumer. *)
 
 val abort : t -> unit
-(** Consumer gives up: a blocked producer unblocks and {!produce} returns
+(** Consumer gives up: a parked producer is woken and {!produce} returns
     [Aborted] from then on.  Idempotent. *)
 
 (* ----- accounting ----- *)

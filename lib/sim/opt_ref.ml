@@ -38,18 +38,21 @@ let proc_instance ?(name = "OPT") ?cores ?recorder config =
       if recording then record (Smbm_obs.Event.Accept { dest })
     end
     else begin
-      match Count_multiset.max_key bag with
-      | Some worst when worst > work ->
+      (* A full buffer is non-empty, so the default is never taken. *)
+      let worst = Count_multiset.max_key_or bag ~default:0 in
+      if worst > work then begin
         Count_multiset.remove bag worst;
         Count_multiset.add bag work;
         Metrics.record_push_out metrics;
-        record
-          (Smbm_obs.Event.Push_out { victim = worst; dest; lost = 1 });
+        if recording then
+          record (Smbm_obs.Event.Push_out { victim = worst; dest; lost = 1 });
         Metrics.record_accept metrics;
         if recording then record (Smbm_obs.Event.Accept { dest })
-      | Some _ | None ->
+      end
+      else begin
         Metrics.record_drop metrics;
         if recording then record (Smbm_obs.Event.Drop { dest; value = 1 })
+      end
     end
   in
   let arrive (a : Arrival.t) = arrive_dv ~dest:a.dest ~value:a.value in
@@ -120,18 +123,21 @@ let value_instance ?(name = "OPT") ?cores ?recorder config =
       if recording then record (Smbm_obs.Event.Accept { dest })
     end
     else begin
-      match Count_multiset.min_key bag with
-      | Some worst when worst < value ->
+      (* A full buffer is non-empty, so the default is never taken. *)
+      let worst = Count_multiset.min_key_or bag ~default:max_int in
+      if worst < value then begin
         Count_multiset.remove bag worst;
         Count_multiset.add bag value;
         Metrics.record_push_out metrics;
-        record
-          (Smbm_obs.Event.Push_out { victim = worst; dest; lost = worst });
+        if recording then
+          record (Smbm_obs.Event.Push_out { victim = worst; dest; lost = worst });
         Metrics.record_accept metrics;
         if recording then record (Smbm_obs.Event.Accept { dest })
-      | Some _ | None ->
+      end
+      else begin
         Metrics.record_drop metrics;
         if recording then record (Smbm_obs.Event.Drop { dest; value })
+      end
     end
   in
   let arrive (a : Arrival.t) = arrive_dv ~dest:a.dest ~value:a.value in

@@ -59,62 +59,52 @@ let apply_axis base axis x =
   | B -> { base with buffer = x }
   | C -> { base with speedup = x }
 
-let proc_setup ?recorder ~reference base =
-  let config =
-    Proc_config.contiguous ~k:base.k ~buffer:base.buffer ~speedup:base.speedup
-      ()
-  in
-  let workload =
-    Scenario.proc_workload ~mmpp:base.mmpp
-      ~reference:
-        (Proc_config.contiguous ~k:reference.k ~buffer:reference.buffer
-           ~speedup:reference.speedup ())
-      ~config ~load:base.load ~seed:base.seed ()
-  in
-  let instances =
-    Opt_ref.proc_instance ?recorder config
-    :: List.map (Proc_engine.instance ?recorder config) (Policies.proc config)
-  in
-  (workload, instances)
+let proc_config base =
+  Proc_config.contiguous ~k:base.k ~buffer:base.buffer ~speedup:base.speedup
+    ()
 
-let value_setup ?recorder ~reference ~port_tied base =
-  let config =
-    Value_config.make ~ports:base.k ~max_value:base.k ~buffer:base.buffer
-      ~speedup:base.speedup ()
-  in
-  let ref_config =
-    Value_config.make ~ports:reference.k ~max_value:reference.k
-      ~buffer:reference.buffer ~speedup:reference.speedup ()
-  in
-  let workload =
-    if port_tied then
-      Scenario.value_port_workload ~mmpp:base.mmpp ~reference:ref_config
-        ~config ~load:base.load ~seed:base.seed ()
-    else
-      Scenario.value_uniform_workload ~mmpp:base.mmpp ~reference:ref_config
-        ~config ~load:base.load ~seed:base.seed ()
-  in
-  let policies =
-    if port_tied then
-      Policies.value_port ~port_value:(Scenario.port_values config) config
-    else Policies.value_uniform config
-  in
-  let instances =
-    Opt_ref.value_instance ?recorder config
-    :: List.map (Value_engine.instance ?recorder config) policies
-  in
-  (workload, instances)
+let value_config base =
+  Value_config.make ~ports:base.k ~max_value:base.k ~buffer:base.buffer
+    ~speedup:base.speedup ()
 
 (* [reference] carries the sweep's base parameters: the workload intensity is
    derived from it, not from the swept configuration, so the absolute traffic
    stays constant along the sweep (the paper's setup: growing k or C means
    growing capacity under the same offered traffic). *)
+let workload ~reference model base =
+  match model with
+  | Proc ->
+    Scenario.proc_workload ~mmpp:base.mmpp ~reference:(proc_config reference)
+      ~config:(proc_config base) ~load:base.load ~seed:base.seed ()
+  | Value_uniform ->
+    Scenario.value_uniform_workload ~mmpp:base.mmpp
+      ~reference:(value_config reference) ~config:(value_config base)
+      ~load:base.load ~seed:base.seed ()
+  | Value_port ->
+    Scenario.value_port_workload ~mmpp:base.mmpp
+      ~reference:(value_config reference) ~config:(value_config base)
+      ~load:base.load ~seed:base.seed ()
+
+let instances ?recorder model base =
+  match model with
+  | Proc ->
+    let config = proc_config base in
+    Opt_ref.proc_instance ?recorder config
+    :: List.map (Proc_engine.instance ?recorder config) (Policies.proc config)
+  | Value_uniform | Value_port ->
+    let config = value_config base in
+    let policies =
+      if model = Value_port then
+        Policies.value_port ~port_value:(Scenario.port_values config) config
+      else Policies.value_uniform config
+    in
+    Opt_ref.value_instance ?recorder config
+    :: List.map (Value_engine.instance ?recorder config) policies
+
 let setup ?reference ?recorder model base =
   let reference = Option.value reference ~default:base in
-  match model with
-  | Proc -> proc_setup ?recorder ~reference base
-  | Value_uniform -> value_setup ?recorder ~reference ~port_tied:false base
-  | Value_port -> value_setup ?recorder ~reference ~port_tied:true base
+  let workload = workload ~reference model base in
+  (workload, instances ?recorder model base)
 
 (* ----- trace cache -----
 
@@ -144,10 +134,10 @@ let trace_key ~base ~model ~axis ~x =
     e.slots e.seed e.load e.mmpp.Scenario.sources e.mmpp.Scenario.p_on_to_off
     e.mmpp.Scenario.p_off_to_on reference.k reference.speedup e.k
 
+(* The workload alone: a point's OPT reference and policy instances are
+   never built just to be dropped. *)
 let point_workload ~base ~model ~axis ~x =
-  let reference = base in
-  let e = effective base axis x in
-  fst (setup ~reference model e)
+  workload ~reference:base model (effective base axis x)
 
 let materialize_trace ~base ~model ~axis ~x =
   let workload = point_workload ~base ~model ~axis ~x in
@@ -169,8 +159,7 @@ let trace_worth_caching ?(max_arrivals = default_max_cached_arrivals) ~base
   | None -> false
 
 let policy_names model base =
-  let _, instances = setup model base in
-  match instances with
+  match instances model base with
   | _opt :: algs -> List.map (fun (i : Instance.t) -> i.Instance.name) algs
   | [] -> []
 

@@ -3,11 +3,7 @@ open Smbm_core
 let create_controlled ?name ?observe ?recorder ?flight config
     (policy_ref : Value_policy.t ref) =
   let name = Option.value name ~default:!policy_ref.name in
-  (* The policy carries the backend choice (set by [make ~impl], defaulted
-     from SMBM_BACKEND by the Policies registry), so every caller of the
-     engines picks up the flat representation with zero call-site
-     changes. *)
-  let sw = Value_switch.create ~backend:!policy_ref.backend config in
+  let sw = Value_switch.create config in
   let metrics = Metrics.create () in
   let ports = Port_stats.create ~n:(Value_config.n config) in
   let record =
@@ -94,7 +90,7 @@ let create_controlled ?name ?observe ?recorder ?flight config
     match observe with
     | None ->
       (* Fields-based transmission: no packet record per transmit, which is
-         what keeps the flat backend's hot path allocation-free. *)
+         what keeps the hot path allocation-free. *)
       let on_transmit ~dest ~value ~arrival =
         let latency = Value_switch.now sw - arrival in
         Metrics.record_transmit metrics ~value ~latency;
@@ -109,8 +105,8 @@ let create_controlled ?name ?observe ?recorder ?flight config
       in
       fun () -> ignore (Value_switch.transmit_phase_fields sw ~on_transmit)
     | Some observe ->
-      (* An observer wants the packets; take the materializing path (on the
-         flat backend each is a per-transmit snapshot record). *)
+      (* An observer wants the packets; take the materializing path (each
+         is a per-transmit snapshot record). *)
       let on_transmit (p : Packet.Value.t) =
         let latency = Value_switch.now sw - p.arrival in
         Metrics.record_transmit metrics ~value:p.value ~latency;

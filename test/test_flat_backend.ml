@@ -1,11 +1,11 @@
-(* Direct coverage of the flat struct-of-arrays switch backend and its
+(* Direct coverage of the struct-of-arrays switch representation and its
    building blocks: Int_ring unit tests, slab growth under [set_buffer],
    fields-vs-packet transmit-path equivalence, engine-level metric identity
-   between the linked and flat backends, the flat-only API restrictions —
-   and the resize safety property (satellite of the flat-backend PR):
-   interleaving [set_buffer] grow/shrink with accepts, push-outs and
-   transmissions never drops a buffered packet and keeps every cached
-   aggregate in sync, on both switches and both backends. *)
+   between the scan oracle and the indexed policies, the slot API's input
+   validation — and the resize safety property: interleaving [set_buffer]
+   grow/shrink with accepts, push-outs and transmissions never drops a
+   buffered packet and keeps every cached aggregate in sync, on both
+   switches. *)
 
 open Smbm_prelude
 open Smbm_core
@@ -96,7 +96,7 @@ let prop_int_ring_oracle =
 
 let test_proc_flat_slab_growth () =
   let config = Proc_config.make ~works:[| 2; 3 |] ~buffer:2 () in
-  let sw = Proc_switch.create ~backend:`Flat config in
+  let sw = Proc_switch.create config in
   Proc_switch.accept_unit sw ~dest:0;
   Proc_switch.accept_unit sw ~dest:1;
   Alcotest.(check bool) "full at 2" true (Proc_switch.is_full sw);
@@ -124,7 +124,7 @@ let test_proc_flat_slab_growth () =
 
 let test_value_flat_slab_growth () =
   let config = Value_config.make ~ports:2 ~max_value:130 ~buffer:2 () in
-  let sw = Value_switch.create ~backend:`Flat config in
+  let sw = Value_switch.create config in
   Value_switch.accept_unit sw ~dest:0 ~value:130;
   Value_switch.accept_unit sw ~dest:1 ~value:1;
   Value_switch.set_buffer sw 40;
@@ -141,27 +141,24 @@ let test_value_flat_slab_growth () =
     (fun () -> Value_switch.set_buffer sw 39);
   Alcotest.(check int) "flush" 40 (Value_switch.flush sw)
 
-(* --- flat-only API restrictions --- *)
+(* --- slot API input validation --- *)
 
 let test_flat_api_restrictions () =
-  let psw =
-    Proc_switch.create ~backend:`Flat (Proc_config.make ~works:[| 1 |] ~buffer:2 ())
-  in
-  Alcotest.(check bool) "proc backend" true (Proc_switch.backend psw = `Flat);
-  (try
-     ignore (Proc_switch.queue psw 0);
-     Alcotest.fail "Proc_switch.queue accepted a flat switch"
-   with Invalid_argument _ -> ());
+  let psw = Proc_switch.create (Proc_config.make ~works:[| 1 |] ~buffer:2 ()) in
+  Alcotest.check_raises "proc iter_port bad port"
+    (Invalid_argument "Proc_switch.iter_port: bad port") (fun () ->
+      Proc_switch.iter_port psw 1 ~f:(fun ~residual:_ ~arrival:_ ~id:_ -> ()));
+  Alcotest.check_raises "proc push-out from an empty queue"
+    (Invalid_argument "Proc_switch.push_out: victim queue empty") (fun () ->
+      Proc_switch.push_out_unit psw ~victim:0);
+  Proc_switch.check_invariants psw;
   let vsw =
-    Value_switch.create ~backend:`Flat
-      (Value_config.make ~ports:1 ~max_value:4 ~buffer:2 ())
+    Value_switch.create (Value_config.make ~ports:1 ~max_value:4 ~buffer:2 ())
   in
-  Alcotest.(check bool) "value backend" true (Value_switch.backend vsw = `Flat);
-  (try
-     ignore (Value_switch.queue vsw 0);
-     Alcotest.fail "Value_switch.queue accepted a flat switch"
-   with Invalid_argument _ -> ());
-  (* Value range is validated up front on the flat backend. *)
+  Alcotest.check_raises "value iter_port bad port"
+    (Invalid_argument "Value_switch.iter_port: bad port") (fun () ->
+      Value_switch.iter_port vsw 1 ~f:(fun ~value:_ ~arrival:_ ~id:_ -> ()));
+  (* Value range is validated up front. *)
   (try
      Value_switch.accept_unit vsw ~dest:0 ~value:5;
      Alcotest.fail "out-of-range value accepted"
@@ -171,73 +168,67 @@ let test_flat_api_restrictions () =
 (* --- fields-vs-packet transmit equivalence --- *)
 
 let test_proc_fields_transmit_equivalence () =
-  List.iter
-    (fun backend ->
-      let config =
-        Proc_config.make ~works:[| 2; 3; 1 |] ~buffer:6 ~speedup:2 ()
-      in
-      let a = Proc_switch.create ~backend config in
-      let b = Proc_switch.create ~backend config in
-      let drive sw i =
-        Proc_switch.accept_unit sw ~dest:(i mod 3);
-        if i mod 2 = 1 then Proc_switch.accept_unit sw ~dest:((i + 1) mod 3)
-      in
-      for round = 0 to 19 do
-        drive a round;
-        drive b round;
-        let pkts = ref [] and flds = ref [] in
-        let sent_a =
-          Proc_switch.transmit_phase a
-            ~on_transmit:(fun (p : Packet.Proc.t) ->
-              pkts := (p.dest, p.arrival) :: !pkts)
-        in
-        let sent_b =
-          Proc_switch.transmit_phase_fields b
-            ~on_transmit:(fun ~dest ~arrival ->
-              flds := (dest, arrival) :: !flds)
-        in
-        Alcotest.(check int) "sent count" sent_a sent_b;
-        Alcotest.(check (list (pair int int)))
-          "fields = packet path" (List.rev !pkts) (List.rev !flds);
-        Proc_switch.advance_slot a;
-        Proc_switch.advance_slot b
-      done)
-    [ `Linked; `Flat ]
+  let config =
+    Proc_config.make ~works:[| 2; 3; 1 |] ~buffer:6 ~speedup:2 ()
+  in
+  let a = Proc_switch.create config in
+  let b = Proc_switch.create config in
+  let drive sw i =
+    Proc_switch.accept_unit sw ~dest:(i mod 3);
+    if i mod 2 = 1 then Proc_switch.accept_unit sw ~dest:((i + 1) mod 3)
+  in
+  for round = 0 to 19 do
+    drive a round;
+    drive b round;
+    let pkts = ref [] and flds = ref [] in
+    let sent_a =
+      Proc_switch.transmit_phase a
+        ~on_transmit:(fun (p : Packet.Proc.t) ->
+          pkts := (p.dest, p.arrival) :: !pkts)
+    in
+    let sent_b =
+      Proc_switch.transmit_phase_fields b
+        ~on_transmit:(fun ~dest ~arrival ->
+          flds := (dest, arrival) :: !flds)
+    in
+    Alcotest.(check int) "sent count" sent_a sent_b;
+    Alcotest.(check (list (pair int int)))
+      "fields = packet path" (List.rev !pkts) (List.rev !flds);
+    Proc_switch.advance_slot a;
+    Proc_switch.advance_slot b
+  done
 
 let test_value_fields_transmit_equivalence () =
-  List.iter
-    (fun backend ->
-      let config =
-        Value_config.make ~ports:3 ~max_value:9 ~buffer:6 ~speedup:2 ()
-      in
-      let a = Value_switch.create ~backend config in
-      let b = Value_switch.create ~backend config in
-      let drive sw i =
-        Value_switch.accept_unit sw ~dest:(i mod 3) ~value:((i * 5 mod 9) + 1)
-      in
-      for round = 0 to 29 do
-        drive a round;
-        drive b round;
-        let pkts = ref [] and flds = ref [] in
-        let sent_a =
-          Value_switch.transmit_phase a
-            ~on_transmit:(fun (p : Packet.Value.t) ->
-              pkts := (p.dest, p.value, p.arrival) :: !pkts)
-        in
-        let sent_b =
-          Value_switch.transmit_phase_fields b
-            ~on_transmit:(fun ~dest ~value ~arrival ->
-              flds := (dest, value, arrival) :: !flds)
-        in
-        Alcotest.(check int) "sent count" sent_a sent_b;
-        Alcotest.(check (list (triple int int int)))
-          "fields = packet path" (List.rev !pkts) (List.rev !flds);
-        Value_switch.advance_slot a;
-        Value_switch.advance_slot b
-      done)
-    [ `Linked; `Flat ]
+  let config =
+    Value_config.make ~ports:3 ~max_value:9 ~buffer:6 ~speedup:2 ()
+  in
+  let a = Value_switch.create config in
+  let b = Value_switch.create config in
+  let drive sw i =
+    Value_switch.accept_unit sw ~dest:(i mod 3) ~value:((i * 5 mod 9) + 1)
+  in
+  for round = 0 to 29 do
+    drive a round;
+    drive b round;
+    let pkts = ref [] and flds = ref [] in
+    let sent_a =
+      Value_switch.transmit_phase a
+        ~on_transmit:(fun (p : Packet.Value.t) ->
+          pkts := (p.dest, p.value, p.arrival) :: !pkts)
+    in
+    let sent_b =
+      Value_switch.transmit_phase_fields b
+        ~on_transmit:(fun ~dest ~value ~arrival ->
+          flds := (dest, value, arrival) :: !flds)
+    in
+    Alcotest.(check int) "sent count" sent_a sent_b;
+    Alcotest.(check (list (triple int int int)))
+      "fields = packet path" (List.rev !pkts) (List.rev !flds);
+    Value_switch.advance_slot a;
+    Value_switch.advance_slot b
+  done
 
-(* --- engine-level metric identity, linked vs flat --- *)
+(* --- engine-level metric identity, scan oracle vs indexed --- *)
 
 let check_metrics_equal name a b =
   let open Smbm_sim in
@@ -275,25 +266,25 @@ let test_proc_engine_metric_identity () =
   let config = Proc_config.make ~works:[| 2; 3; 1; 4 |] ~buffer:8 () in
   let run impl =
     let inst =
-      Smbm_sim.Proc_engine.instance config (P_lwd.make ~impl config)
+      Smbm_sim.Proc_engine.instance config (P_lwd.make ?impl config)
     in
     drive_instance inst ~slots:200 ~per_slot:3 ~dv:(fun slot j ->
         ((((slot * 7) mod 11) + j) mod 4, 1));
     inst.metrics
   in
-  check_metrics_equal "P_lwd" (run `Indexed) (run `Flat)
+  check_metrics_equal "P_lwd" (run (Some `Scan)) (run None)
 
 let test_value_engine_metric_identity () =
   let config = Value_config.make ~ports:4 ~max_value:16 ~buffer:8 () in
   let run impl =
     let inst =
-      Smbm_sim.Value_engine.instance config (V_mrd.make ~impl config)
+      Smbm_sim.Value_engine.instance config (V_mrd.make ?impl config)
     in
     drive_instance inst ~slots:200 ~per_slot:3 ~dv:(fun slot j ->
         (((slot * 7) + j) mod 4, (((slot * 13) + (j * 5)) mod 16) + 1));
     inst.metrics
   in
-  check_metrics_equal "V_mrd" (run `Indexed) (run `Flat)
+  check_metrics_equal "V_mrd" (run (Some `Scan)) (run None)
 
 (* --- resize never drops a packet, aggregates stay in sync --- *)
 
@@ -351,113 +342,107 @@ let resize_ops_gen =
 
 let prop_proc_resize_never_drops =
   QCheck2.Test.make
-    ~name:"proc set_buffer never drops a packet (linked and flat)" ~count:200
+    ~name:"proc set_buffer never drops a packet" ~count:200
     resize_ops_gen
     (fun ops ->
-      List.for_all
-        (fun backend ->
-          let config = Proc_config.make ~works:[| 2; 1; 3 |] ~buffer:4 () in
-          let sw = Proc_switch.create ~backend config in
-          let sum_ports f =
-            let acc = ref 0 in
-            for j = 0 to Proc_switch.n sw - 1 do
-              acc := !acc + f sw j
-            done;
-            !acc
+      let config = Proc_config.make ~works:[| 2; 1; 3 |] ~buffer:4 () in
+      let sw = Proc_switch.create config in
+      let sum_ports f =
+        let acc = ref 0 in
+        for j = 0 to Proc_switch.n sw - 1 do
+          acc := !acc + f sw j
+        done;
+        !acc
+      in
+      run_resize_ops ops
+        ~occupancy:(fun () -> Proc_switch.occupancy sw)
+        ~buffer:(fun () -> Proc_switch.buffer sw)
+        ~set_buffer:(Proc_switch.set_buffer sw)
+        ~accept:(fun d -> Proc_switch.accept_unit sw ~dest:d)
+        ~push_out:(fun () ->
+          (* Evict from the longest queue, like a policy would. *)
+          let victim = ref 0 in
+          for j = 1 to Proc_switch.n sw - 1 do
+            if
+              Proc_switch.queue_length sw j
+              > Proc_switch.queue_length sw !victim
+            then victim := j
+          done;
+          Proc_switch.push_out_unit sw ~victim:!victim)
+        ~transmit:(fun () ->
+          let sent =
+            Proc_switch.transmit_phase sw ~on_transmit:ignore
           in
-          run_resize_ops ops
-            ~occupancy:(fun () -> Proc_switch.occupancy sw)
-            ~buffer:(fun () -> Proc_switch.buffer sw)
-            ~set_buffer:(Proc_switch.set_buffer sw)
-            ~accept:(fun d -> Proc_switch.accept_unit sw ~dest:d)
-            ~push_out:(fun () ->
-              (* Evict from the longest queue, like a policy would. *)
-              let victim = ref 0 in
-              for j = 1 to Proc_switch.n sw - 1 do
-                if
-                  Proc_switch.queue_length sw j
-                  > Proc_switch.queue_length sw !victim
-                then victim := j
-              done;
-              Proc_switch.push_out_unit sw ~victim:!victim)
-            ~transmit:(fun () ->
-              let sent =
-                Proc_switch.transmit_phase sw ~on_transmit:ignore
-              in
-              Proc_switch.advance_slot sw;
-              sent)
-            ~flush:(fun () -> Proc_switch.flush sw)
-            ~shrink_refused:(fun b ->
-              match Proc_switch.set_buffer sw b with
-              | () -> false
-              | exception Invalid_argument _ -> true)
-            ~check:(fun () ->
-              Proc_switch.check_invariants sw;
-              (* Aggregates stay in sync with the queues across resizes. *)
-              if sum_ports Proc_switch.queue_length <> Proc_switch.occupancy sw
-              then raise Exit;
-              if
-                sum_ports Proc_switch.queue_work
-                <> Proc_switch.total_occupied_work sw
-              then raise Exit))
-        [ `Linked; `Flat ])
+          Proc_switch.advance_slot sw;
+          sent)
+        ~flush:(fun () -> Proc_switch.flush sw)
+        ~shrink_refused:(fun b ->
+          match Proc_switch.set_buffer sw b with
+          | () -> false
+          | exception Invalid_argument _ -> true)
+        ~check:(fun () ->
+          Proc_switch.check_invariants sw;
+          (* Aggregates stay in sync with the queues across resizes. *)
+          if sum_ports Proc_switch.queue_length <> Proc_switch.occupancy sw
+          then raise Exit;
+          if
+            sum_ports Proc_switch.queue_work
+            <> Proc_switch.total_occupied_work sw
+          then raise Exit))
 
 let prop_value_resize_never_drops =
   QCheck2.Test.make
-    ~name:"value set_buffer never drops a packet (linked and flat)" ~count:200
+    ~name:"value set_buffer never drops a packet" ~count:200
     resize_ops_gen
     (fun ops ->
-      List.for_all
-        (fun backend ->
-          let config = Value_config.make ~ports:3 ~max_value:7 ~buffer:4 () in
-          let sw = Value_switch.create ~backend config in
-          let sum_ports f =
-            let acc = ref 0 in
-            for j = 0 to Value_switch.n sw - 1 do
-              acc := !acc + f sw j
-            done;
-            !acc
+      let config = Value_config.make ~ports:3 ~max_value:7 ~buffer:4 () in
+      let sw = Value_switch.create config in
+      let sum_ports f =
+        let acc = ref 0 in
+        for j = 0 to Value_switch.n sw - 1 do
+          acc := !acc + f sw j
+        done;
+        !acc
+      in
+      let step = ref 0 in
+      run_resize_ops ops
+        ~occupancy:(fun () -> Value_switch.occupancy sw)
+        ~buffer:(fun () -> Value_switch.buffer sw)
+        ~set_buffer:(Value_switch.set_buffer sw)
+        ~accept:(fun d ->
+          incr step;
+          Value_switch.accept_unit sw ~dest:d
+            ~value:((!step * 5 mod 7) + 1))
+        ~push_out:(fun () ->
+          match Value_switch.min_value_port sw with
+          | None -> ()
+          | Some victim ->
+            ignore (Value_switch.push_out_lost sw ~victim : int))
+        ~transmit:(fun () ->
+          let sent =
+            Value_switch.transmit_phase sw ~on_transmit:ignore
           in
-          let step = ref 0 in
-          run_resize_ops ops
-            ~occupancy:(fun () -> Value_switch.occupancy sw)
-            ~buffer:(fun () -> Value_switch.buffer sw)
-            ~set_buffer:(Value_switch.set_buffer sw)
-            ~accept:(fun d ->
-              incr step;
-              Value_switch.accept_unit sw ~dest:d
-                ~value:((!step * 5 mod 7) + 1))
-            ~push_out:(fun () ->
-              match Value_switch.min_value_port sw with
-              | None -> ()
-              | Some victim ->
-                ignore (Value_switch.push_out_lost sw ~victim : int))
-            ~transmit:(fun () ->
-              let sent =
-                Value_switch.transmit_phase sw ~on_transmit:ignore
-              in
-              Value_switch.advance_slot sw;
-              sent)
-            ~flush:(fun () -> Value_switch.flush sw)
-            ~shrink_refused:(fun b ->
-              match Value_switch.set_buffer sw b with
-              | () -> false
-              | exception Invalid_argument _ -> true)
-            ~check:(fun () ->
-              Value_switch.check_invariants sw;
-              if
-                sum_ports Value_switch.queue_length
-                <> Value_switch.occupancy sw
-              then raise Exit;
-              match Value_switch.min_value sw with
-              | None -> if Value_switch.occupancy sw <> 0 then raise Exit
-              | Some m -> (
-                match Value_switch.min_value_port sw with
-                | None -> raise Exit
-                | Some j ->
-                  if Value_switch.queue_min_value sw j <> Some m then
-                    raise Exit)))
-        [ `Linked; `Flat ])
+          Value_switch.advance_slot sw;
+          sent)
+        ~flush:(fun () -> Value_switch.flush sw)
+        ~shrink_refused:(fun b ->
+          match Value_switch.set_buffer sw b with
+          | () -> false
+          | exception Invalid_argument _ -> true)
+        ~check:(fun () ->
+          Value_switch.check_invariants sw;
+          if
+            sum_ports Value_switch.queue_length
+            <> Value_switch.occupancy sw
+          then raise Exit;
+          match Value_switch.min_value sw with
+          | None -> if Value_switch.occupancy sw <> 0 then raise Exit
+          | Some m -> (
+            match Value_switch.min_value_port sw with
+            | None -> raise Exit
+            | Some j ->
+              if Value_switch.queue_min_value sw j <> Some m then
+                raise Exit)))
 
 let suite =
   [
@@ -475,9 +460,9 @@ let suite =
       test_proc_fields_transmit_equivalence;
     Alcotest.test_case "value fields transmit = packet transmit" `Quick
       test_value_fields_transmit_equivalence;
-    Alcotest.test_case "proc engine metrics: linked = flat" `Quick
+    Alcotest.test_case "proc engine metrics: scan = indexed" `Quick
       test_proc_engine_metric_identity;
-    Alcotest.test_case "value engine metrics: linked = flat" `Quick
+    Alcotest.test_case "value engine metrics: scan = indexed" `Quick
       test_value_engine_metric_identity;
     Qc.to_alcotest prop_proc_resize_never_drops;
     Qc.to_alcotest prop_value_resize_never_drops;

@@ -52,8 +52,10 @@ let test_transmit_speedup () =
   ignore (Proc_switch.accept sw ~dest:0);
   let sent = Proc_switch.transmit_phase sw ~on_transmit:(fun _ -> ()) in
   Alcotest.(check int) "one completed" 1 sent;
-  Alcotest.(check int) "next half done" 1
-    (Work_queue.hol_residual (Proc_switch.queue sw 0))
+  let residuals = ref [] in
+  Proc_switch.iter_port sw 0 ~f:(fun ~residual ~arrival:_ ~id:_ ->
+      residuals := residual :: !residuals);
+  Alcotest.(check (list int)) "next half done" [ 1 ] !residuals
 
 let test_total_work_view () =
   let sw = Proc_switch.create (config ~buffer:4 [| 1; 3 |]) in
@@ -114,8 +116,28 @@ let prop_fifo_order =
       done;
       !ok && Proc_switch.occupancy sw = 0)
 
+let test_iter_port () =
+  (* Head-of-line first, with each packet's residual work, arrival slot
+     and id; only the head is partially processed. *)
+  let sw = Proc_switch.create (config ~buffer:4 [| 3; 1 |]) in
+  ignore (Proc_switch.accept sw ~dest:0);
+  ignore (Proc_switch.accept sw ~dest:1);
+  Proc_switch.advance_slot sw;
+  ignore (Proc_switch.accept sw ~dest:0);
+  ignore (Proc_switch.transmit_phase sw ~on_transmit:ignore);
+  let seen i =
+    let acc = ref [] in
+    Proc_switch.iter_port sw i ~f:(fun ~residual ~arrival ~id ->
+        acc := (residual, arrival, id) :: !acc);
+    List.rev !acc
+  in
+  Alcotest.(check (list (triple int int int)))
+    "port 0" [ (2, 0, 0); (3, 1, 2) ] (seen 0);
+  Alcotest.(check (list (triple int int int))) "port 1 drained" [] (seen 1)
+
 let suite =
   [
+    Alcotest.test_case "iter_port lists queue contents" `Quick test_iter_port;
     Alcotest.test_case "accept and occupancy" `Quick test_accept_and_occupancy;
     Alcotest.test_case "unique ids" `Quick test_ids_are_unique_and_ordered;
     Alcotest.test_case "push_out" `Quick test_push_out;

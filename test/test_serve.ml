@@ -60,6 +60,31 @@ let test_ring_shed_accounting () =
   drain ();
   Alcotest.(check int) "both pushed slots consumed" 2 !seen
 
+(* Poll [flag] until it is set or [timeout] seconds pass: a lost wake-up
+   fails the test instead of hanging it. *)
+let await ?(timeout = 5.0) flag =
+  let deadline = Unix.gettimeofday () +. timeout in
+  while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  Atomic.get flag
+
+(* A [`Block] producer on its own domain; [finished] is set once its
+   [produce] call returns, [parked] once it reports a stall. *)
+let spawn_blocked_producer ring ~fill =
+  let finished = Atomic.make false and parked = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        let r =
+          Spsc_ring.produce ring
+            ~on_block:(fun _ -> Atomic.set parked true)
+            ~policy:`Block ~fill ()
+        in
+        Atomic.set finished true;
+        r)
+  in
+  (d, finished, parked)
+
 let test_ring_abort_unblocks_producer () =
   let ring = Spsc_ring.create ~capacity:1 () in
   let fill b = Arrival_batch.push b ~dest:0 ~value:1 in
@@ -68,17 +93,52 @@ let test_ring_abort_unblocks_producer () =
     (Spsc_ring.produce ring ~policy:`Block ~fill () = Spsc_ring.Pushed);
   (* Ring is now full; a blocking producer on another domain can only
      return once the consumer aborts. *)
-  let producer =
-    Domain.spawn (fun () -> Spsc_ring.produce ring ~policy:`Block ~fill ())
-  in
+  let producer, finished, _ = spawn_blocked_producer ring ~fill in
   Unix.sleepf 0.02;
+  Alcotest.(check bool) "still parked" false (Atomic.get finished);
   Spsc_ring.abort ring;
+  Alcotest.(check bool) "abort wakes the producer" true (await finished);
   Alcotest.(check bool)
     "blocked producer aborted" true
     (Domain.join producer = Spsc_ring.Aborted);
   Alcotest.check_raises "capacity must be positive"
     (Invalid_argument "Spsc_ring.create: capacity must be >= 1") (fun () ->
       ignore (Spsc_ring.create ~capacity:0 ()))
+
+let test_ring_producer_resumes_at_half () =
+  (* A producer parked on a full ring stays parked while the consumer
+     drains down to just above half capacity, and resumes once occupancy
+     reaches half: by then it has a burst of free slots to fill. *)
+  let capacity = 8 in
+  let ring = Spsc_ring.create ~capacity () in
+  let fill b = Arrival_batch.push b ~dest:0 ~value:1 in
+  for _ = 1 to capacity do
+    ignore (Spsc_ring.produce ring ~policy:`Block ~fill ())
+  done;
+  let producer, finished, parked = spawn_blocked_producer ring ~fill in
+  let consume_one () =
+    match Spsc_ring.consume ring ~stop:(fun () -> false) ~f:ignore with
+    | Spsc_ring.Consumed -> ()
+    | Spsc_ring.Drained | Spsc_ring.Stopped -> Alcotest.fail "ring ran dry"
+  in
+  Unix.sleepf 0.02;
+  for _ = 1 to (capacity / 2) - 1 do
+    consume_one ()
+  done;
+  Unix.sleepf 0.02;
+  Alcotest.(check bool) "parked above half" false (Atomic.get finished);
+  consume_one ();
+  if not (await finished) then begin
+    (* Release the domain before failing, so the suite does not hang. *)
+    Spsc_ring.abort ring;
+    ignore (Domain.join producer);
+    Alcotest.fail "producer not woken at half capacity"
+  end;
+  Alcotest.(check bool)
+    "resumed and pushed" true
+    (Domain.join producer = Spsc_ring.Pushed);
+  Alcotest.(check bool) "stall reported" true (Atomic.get parked);
+  Alcotest.(check int) "occupancy" ((capacity / 2) + 1) (Spsc_ring.length ring)
 
 (* S4: a batch that crossed the ring is bit-identical (dest, value, work,
    length, order) to what next_into on an identical workload yields
@@ -385,6 +445,8 @@ let test_daemon_unknown_policy_rejected () =
 let suite =
   [
     Alcotest.test_case "ring shed accounting" `Quick test_ring_shed_accounting;
+    Alcotest.test_case "ring producer resumes at half capacity" `Quick
+      test_ring_producer_resumes_at_half;
     Alcotest.test_case "ring abort unblocks producer" `Quick
       test_ring_abort_unblocks_producer;
     Qc.to_alcotest prop_ring_transit_bit_identity;

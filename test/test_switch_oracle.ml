@@ -203,8 +203,12 @@ let prop_value_switch_matches_oracle =
               if Value_switch.queue_length sw i <> List.length q then
                 ok := false;
               let min_v = match List.rev q with [] -> None | v :: _ -> Some v in
-              if Value_queue.min_value (Value_switch.queue sw i) <> min_v then
-                ok := false)
+              if Value_switch.queue_min_value sw i <> min_v then ok := false;
+              (* Full contents, in transmission order. *)
+              let values = ref [] in
+              Value_switch.iter_port sw i ~f:(fun ~value ~arrival:_ ~id:_ ->
+                  values := value :: !values);
+              if List.rev !values <> q then ok := false)
             oracle.Value_oracle.queues)
         ops;
       !ok)

@@ -1,28 +1,23 @@
-(* Differential oracle for the incremental victim-selection indexes AND the
-   flat struct-of-arrays switch backend: every push-out policy built three
-   ways — [~impl:`Scan] (the original O(n) rescans on the linked switch),
-   [~impl:`Indexed] (the O(log n) switch indexes on the linked switch) and
-   [~impl:`Flat] (indexed selection on the flat SoA backend) — driven in
-   lockstep on triplet switches under fuzzed traffic (including mid-run
+(* Differential oracle for the incremental victim-selection indexes: every
+   push-out policy built two ways — [~impl:`Scan] (the original O(n)
+   rescans) and the default (the O(log n) switch indexes) — driven in
+   lockstep on twin switches under fuzzed traffic (including mid-run
    [set_buffer] resizes), asserting bit-identical decisions at every arrival
    and bit-identical transmitted packets (ids included) at every
    transmission phase.  Plus pinned tie-break regressions, raising-hook
-   invariant checks on both backends, and the intra-bucket order contract
-   of Value_queue. *)
+   invariant checks, and the intra-bucket order contract the switch shares
+   with the Value_queue reference model. *)
 
 open Smbm_core
 
 (* --- lockstep drivers --- *)
 
-let impls = [ `Indexed; `Scan; `Flat ]
+let impls = [ None; Some `Scan ]
 
 let run_proc_lockstep ~works ~buffer ~speedup ~ops ~mk =
   let config = Proc_config.make ~works ~buffer ~speedup () in
   let arm impl =
-    let policy = mk impl config in
-    (* The policy's backend field is the seam under test: `Flat builds the
-       SoA switch, the others the linked reference. *)
-    (policy, Proc_switch.create ~backend:policy.Proc_policy.backend config)
+    (mk impl config, Proc_switch.create config)
   in
   let arms = List.map arm impls in
   let ok = ref true in
@@ -52,7 +47,7 @@ let run_proc_lockstep ~works ~buffer ~speedup ~ops ~mk =
         List.iter2 (fun (_, sw) d -> apply sw d ~dest) arms ds
       | `Transmit ->
         (* Transmitted packets must agree field-for-field — ids included —
-           across all three arms. *)
+           across both arms. *)
         let sent =
           List.map
             (fun (_, sw) ->
@@ -105,8 +100,7 @@ let run_proc_lockstep ~works ~buffer ~speedup ~ops ~mk =
 let run_value_lockstep ~ports ~max_value ~buffer ~speedup ~ops ~mk =
   let config = Value_config.make ~ports ~max_value ~buffer ~speedup () in
   let arm impl =
-    let policy = mk impl config in
-    (policy, Value_switch.create ~backend:policy.Value_policy.backend config)
+    (mk impl config, Value_switch.create config)
   in
   let arms = List.map arm impls in
   let ok = ref true in
@@ -190,27 +184,27 @@ let run_value_lockstep ~ports ~max_value ~buffer ~speedup ~ops ~mk =
 
 let proc_policies ~buffer ~n =
   [
-    ("LQD", fun impl c -> P_lqd.make ~impl c);
-    ("LWD", fun impl c -> P_lwd.make ~impl c);
-    ("LWD1", fun impl c -> P_lwd.make ~protect_last:true ~impl c);
+    ("LQD", fun impl c -> P_lqd.make ?impl c);
+    ("LWD", fun impl c -> P_lwd.make ?impl c);
+    ("LWD1", fun impl c -> P_lwd.make ~protect_last:true ?impl c);
     ( "LWD/tie=small-work",
-      fun impl c -> P_lwd.make ~tie:P_lwd.Smallest_work ~impl c );
+      fun impl c -> P_lwd.make ~tie:P_lwd.Smallest_work ?impl c );
     ( "LWD/tie=long-queue",
-      fun impl c -> P_lwd.make ~tie:P_lwd.Longest_queue ~impl c );
-    ("BPD", fun impl c -> P_bpd.make ~impl c);
-    ("BPD1", fun impl c -> P_bpd.make ~protect_last:true ~impl c);
-    ("RSV(0)", fun impl c -> P_reserved.make ~reserve:0 ~impl c);
+      fun impl c -> P_lwd.make ~tie:P_lwd.Longest_queue ?impl c );
+    ("BPD", fun impl c -> P_bpd.make ?impl c);
+    ("BPD1", fun impl c -> P_bpd.make ~protect_last:true ?impl c);
+    ("RSV(0)", fun impl c -> P_reserved.make ~reserve:0 ?impl c);
     ( Printf.sprintf "RSV(%d)" (buffer / n),
-      fun impl c -> P_reserved.make ~reserve:(buffer / n) ~impl c );
+      fun impl c -> P_reserved.make ~reserve:(buffer / n) ?impl c );
   ]
 
 let value_policies =
   [
-    ("LQD", fun impl c -> V_lqd.make ~impl c);
-    ("MVD", fun impl c -> V_mvd.make ~impl c);
-    ("MVD1", fun impl c -> V_mvd.make ~protect_last:true ~impl c);
-    ("MRD", fun impl c -> V_mrd.make ~impl c);
-    ("MRD1", fun impl c -> V_mrd.make ~protect_last:true ~impl c);
+    ("LQD", fun impl c -> V_lqd.make ?impl c);
+    ("MVD", fun impl c -> V_mvd.make ?impl c);
+    ("MVD1", fun impl c -> V_mvd.make ~protect_last:true ?impl c);
+    ("MRD", fun impl c -> V_mrd.make ?impl c);
+    ("MRD1", fun impl c -> V_mrd.make ~protect_last:true ?impl c);
   ]
 
 let proc_ops_gen n =
@@ -226,7 +220,7 @@ let proc_ops_gen n =
 
 let prop_proc_policies_lockstep =
   QCheck2.Test.make
-    ~name:"proc push-out policies: scan = indexed = flat lockstep" ~count:150
+    ~name:"proc push-out policies: scan = indexed lockstep" ~count:150
     QCheck2.Gen.(
       let* n = int_range 1 6 in
       let* works = array_size (pure n) (int_range 1 4) in
@@ -242,7 +236,7 @@ let prop_proc_policies_lockstep =
 
 let prop_value_policies_lockstep =
   QCheck2.Test.make
-    ~name:"value push-out policies: scan = indexed = flat lockstep" ~count:150
+    ~name:"value push-out policies: scan = indexed lockstep" ~count:150
     QCheck2.Gen.(
       let* ports = int_range 1 6 in
       let* max_value = int_range 1 8 in
@@ -270,10 +264,9 @@ let prop_value_policies_lockstep =
         value_policies)
 
 (* Deterministic soak with k = 130: min/max values cross the 63-bit word
-   boundary of the occupancy bitsets (both Value_queue's and the flat
-   backend's port-major copies), which the small fuzzed configurations
-   above never reach.  Periodic resizes exercise flat slab growth at
-   width. *)
+   boundary of the switch's occupancy bitsets, which the small fuzzed
+   configurations above never reach.  Periodic resizes exercise slab
+   growth at width. *)
 let test_value_soak_wide_k () =
   let ports = 4 and max_value = 130 and buffer = 32 in
   let ops =
@@ -295,17 +288,17 @@ let test_value_soak_wide_k () =
 (* The fused [admit_batch] kernels must be decision-identical to folding
    [admit] packet-by-packet: same victims, same admission counters, same
    switch state and transmitted packets — including across mid-run
-   [set_buffer] resizes.  Two same-backend switches run in lockstep, one
+   [set_buffer] resizes.  Two switches run in lockstep, one
    through the kernel, one through the per-packet reference fold. *)
 
 let run_proc_batch_lockstep ~works ~buffer ~speedup ~ops ~mk =
   let config = Proc_config.make ~works ~buffer ~speedup () in
-  let policy : Proc_policy.t = mk `Flat config in
+  let policy : Proc_policy.t = mk None config in
   match Proc_policy.admit_batch policy with
   | None -> false (* every flat-impl push-out policy must provide a kernel *)
   | Some kernel ->
-    let sw_k = Proc_switch.create ~backend:policy.Proc_policy.backend config in
-    let sw_r = Proc_switch.create ~backend:policy.Proc_policy.backend config in
+    let sw_k = Proc_switch.create config in
+    let sw_r = Proc_switch.create config in
     let counters = Admission.counters () in
     let batch = Arrival_batch.create () in
     let ok = ref true in
@@ -371,12 +364,12 @@ let run_proc_batch_lockstep ~works ~buffer ~speedup ~ops ~mk =
 
 let run_value_batch_lockstep ~ports ~max_value ~buffer ~speedup ~ops ~mk =
   let config = Value_config.make ~ports ~max_value ~buffer ~speedup () in
-  let policy : Value_policy.t = mk `Flat config in
+  let policy : Value_policy.t = mk None config in
   match Value_policy.admit_batch policy with
   | None -> false
   | Some kernel ->
-    let sw_k = Value_switch.create ~backend:policy.Value_policy.backend config in
-    let sw_r = Value_switch.create ~backend:policy.Value_policy.backend config in
+    let sw_k = Value_switch.create config in
+    let sw_r = Value_switch.create config in
     let counters = Admission.counters () in
     let batch = Arrival_batch.create () in
     let ok = ref true in
@@ -541,9 +534,9 @@ let prop_compact_pack_signature =
 
 (* --- pinned tie-break regressions --- *)
 
-let proc_switch ?(backend = `Linked) ?speedup ~works ~buffer ~lengths () =
+let proc_switch ?speedup ~works ~buffer ~lengths () =
   let config = Proc_config.make ~works ~buffer ?speedup () in
-  let sw = Proc_switch.create ~backend config in
+  let sw = Proc_switch.create config in
   Array.iteri
     (fun j l ->
       for _ = 1 to l do
@@ -567,16 +560,12 @@ let test_lwd_tie_largest_index () =
      per-packet works tie at 1, so the largest index (queue 1) is evicted —
      not the destination. *)
   let sw = proc_switch ~works:[| 1; 1 |] ~buffer:3 ~lengths:[| 1; 2 |] () in
-  Alcotest.(check (option int))
-    "scan" (Some 1)
-    (P_lwd.select_victim_scan sw ~dest:0);
-  Alcotest.(check (option int))
-    "indexed" (Some 1)
-    (P_lwd.select_victim sw ~dest:0)
+  Alcotest.(check int) "scan" 1 (P_lwd.select_victim_scan sw ~dest:0);
+  Alcotest.(check int) "indexed" 1 (P_lwd.select_victim sw ~dest:0)
 
-let value_switch ?(backend = `Linked) ~ports ~max_value ~buffer ~queues () =
+let value_switch ~ports ~max_value ~buffer ~queues () =
   let config = Value_config.make ~ports ~max_value ~buffer () in
-  let sw = Value_switch.create ~backend config in
+  let sw = Value_switch.create config in
   Array.iteri
     (fun j values ->
       List.iter (fun v -> Value_switch.accept_unit sw ~dest:j ~value:v) values)
@@ -590,49 +579,44 @@ let test_mrd_tie_smaller_min_then_largest_index () =
     value_switch ~ports:2 ~max_value:4 ~buffer:4
       ~queues:[| [ 3; 1 ]; [ 2; 2 ] |] ()
   in
-  Alcotest.(check (option int)) "scan" (Some 0) (V_mrd.select_victim_scan sw);
-  Alcotest.(check (option int)) "indexed" (Some 0) (V_mrd.select_victim sw);
+  Alcotest.(check int) "scan" 0 (V_mrd.select_victim_scan sw);
+  Alcotest.(check int) "indexed" 0 (V_mrd.select_victim sw);
   (* Equal ratios and equal minima: the largest index wins. *)
   let sw =
     value_switch ~ports:2 ~max_value:4 ~buffer:4
       ~queues:[| [ 2; 2 ]; [ 2; 2 ] |] ()
   in
-  Alcotest.(check (option int)) "scan tie" (Some 1) (V_mrd.select_victim_scan sw);
-  Alcotest.(check (option int)) "indexed tie" (Some 1) (V_mrd.select_victim sw)
+  Alcotest.(check int) "scan tie" 1 (V_mrd.select_victim_scan sw);
+  Alcotest.(check int) "indexed tie" 1 (V_mrd.select_victim sw)
 
 let test_min_value_port_pinned_tie () =
   (* Several queues hold the buffer minimum: the longest one wins, then the
      smallest port index — and the reported port always holds the reported
-     minimum.  The tie is pinned on both backends. *)
-  List.iter
-    (fun backend ->
-      let sw =
-        value_switch ~backend ~ports:3 ~max_value:9 ~buffer:6
-          ~queues:[| [ 1 ]; [ 9; 1 ]; [ 1 ] |] ()
-      in
-      Alcotest.(check (option int))
-        "min value" (Some 1) (Value_switch.min_value sw);
-      Alcotest.(check (option int))
-        "longest min-holder wins" (Some 1)
-        (Value_switch.min_value_port sw);
-      Alcotest.(check (option int))
-        "port holds the minimum" (Some 1)
-        (Value_switch.queue_min_value sw 1);
-      (* Equal lengths: the smallest index wins. *)
-      let sw =
-        value_switch ~backend ~ports:3 ~max_value:9 ~buffer:6
-          ~queues:[| [ 1 ]; [ 1 ]; [ 1 ] |] ()
-      in
-      Alcotest.(check (option int))
-        "smallest index among equals" (Some 0)
-        (Value_switch.min_value_port sw);
-      (* Empty switch: no port. *)
-      let sw =
-        value_switch ~backend ~ports:2 ~max_value:4 ~buffer:4
-          ~queues:[| []; [] |] ()
-      in
-      Alcotest.(check (option int)) "empty" None (Value_switch.min_value_port sw))
-    [ `Linked; `Flat ]
+     minimum. *)
+  let sw =
+    value_switch ~ports:3 ~max_value:9 ~buffer:6
+      ~queues:[| [ 1 ]; [ 9; 1 ]; [ 1 ] |] ()
+  in
+  Alcotest.(check (option int)) "min value" (Some 1) (Value_switch.min_value sw);
+  Alcotest.(check (option int))
+    "longest min-holder wins" (Some 1)
+    (Value_switch.min_value_port sw);
+  Alcotest.(check (option int))
+    "port holds the minimum" (Some 1)
+    (Value_switch.queue_min_value sw 1);
+  (* Equal lengths: the smallest index wins. *)
+  let sw =
+    value_switch ~ports:3 ~max_value:9 ~buffer:6
+      ~queues:[| [ 1 ]; [ 1 ]; [ 1 ] |] ()
+  in
+  Alcotest.(check (option int))
+    "smallest index among equals" (Some 0)
+    (Value_switch.min_value_port sw);
+  (* Empty switch: no port. *)
+  let sw =
+    value_switch ~ports:2 ~max_value:4 ~buffer:4 ~queues:[| []; [] |] ()
+  in
+  Alcotest.(check (option int)) "empty" None (Value_switch.min_value_port sw)
 
 (* --- raising hooks leave invariants intact --- *)
 
@@ -660,9 +644,9 @@ let test_work_queue_raising_hook () =
   Alcotest.(check int) "resumed" 1 sent;
   Alcotest.(check int) "drained" 0 (Work_queue.total_work q)
 
-let test_proc_switch_raising_hook backend () =
+let test_proc_switch_raising_hook () =
   let sw =
-    proc_switch ~backend ~speedup:2 ~works:[| 2; 3 |] ~buffer:4
+    proc_switch ~speedup:2 ~works:[| 2; 3 |] ~buffer:4
       ~lengths:[| 2; 2 |] ()
   in
   (try
@@ -685,9 +669,9 @@ let test_proc_switch_raising_hook backend () =
   drain ();
   Alcotest.(check int) "all work drained" 0 (Proc_switch.total_occupied_work sw)
 
-let test_value_switch_raising_hook backend () =
+let test_value_switch_raising_hook () =
   let sw =
-    value_switch ~backend ~ports:2 ~max_value:4 ~buffer:6
+    value_switch ~ports:2 ~max_value:4 ~buffer:6
       ~queues:[| [ 4; 2 ]; [ 3; 1 ] |] ()
   in
   (try
@@ -701,7 +685,7 @@ let test_value_switch_raising_hook backend () =
   Alcotest.(check (option int)) "min value" (Some 1) (Value_switch.min_value sw);
   Alcotest.(check (option int)) "min port" (Some 1) (Value_switch.min_value_port sw)
 
-(* --- Value_queue intra-bucket order contract --- *)
+(* --- intra-bucket order contract, reference model and switch --- *)
 
 let test_value_queue_intra_bucket_order () =
   let q = Value_queue.create ~k:5 in
@@ -721,7 +705,21 @@ let test_value_queue_intra_bucket_order () =
   Alcotest.(check int) "min bucket youngest" 12
     (Value_queue.pop_min q).Packet.Value.id;
   Alcotest.(check int) "max bucket oldest" 11
-    (Value_queue.pop_max q).Packet.Value.id
+    (Value_queue.pop_max q).Packet.Value.id;
+  (* The switch keeps the same order: push-out takes the youngest of the
+     minimum bucket, transmission the oldest of the maximum bucket. *)
+  let sw =
+    value_switch ~ports:1 ~max_value:5 ~buffer:8 ~queues:[| [ 3; 3; 3 ] |] ()
+  in
+  Alcotest.(check int) "switch push-out youngest" 2
+    (Value_switch.push_out sw ~victim:0).Packet.Value.id;
+  let ids = ref [] in
+  ignore
+    (Value_switch.transmit_phase sw ~on_transmit:(fun p ->
+         ids := p.Packet.Value.id :: !ids));
+  Alcotest.(check (list int)) "switch transmits oldest" [ 0 ] !ids;
+  Value_switch.iter_port sw 0 ~f:(fun ~value:_ ~arrival:_ ~id ->
+      Alcotest.(check int) "middle remains" 1 id)
 
 let suite =
   [
@@ -742,14 +740,10 @@ let suite =
       test_min_value_port_pinned_tie;
     Alcotest.test_case "Work_queue raising hook" `Quick
       test_work_queue_raising_hook;
-    Alcotest.test_case "Proc_switch raising hook (linked)" `Quick
-      (test_proc_switch_raising_hook `Linked);
     Alcotest.test_case "Proc_switch raising hook (flat)" `Quick
-      (test_proc_switch_raising_hook `Flat);
-    Alcotest.test_case "Value_switch raising hook (linked)" `Quick
-      (test_value_switch_raising_hook `Linked);
+      test_proc_switch_raising_hook;
     Alcotest.test_case "Value_switch raising hook (flat)" `Quick
-      (test_value_switch_raising_hook `Flat);
+      test_value_switch_raising_hook;
     Alcotest.test_case "Value_queue intra-bucket order" `Quick
       test_value_queue_intra_bucket_order;
   ]
